@@ -191,9 +191,9 @@ def payload_env(task, n_rows: int) -> ast.Env:
     """The task's env with its largest table grown to ``n_rows`` of
     *distinct* row objects.
 
-    ``test_numpy_speed.scaled_env`` recycles the original row tuples —
-    right for evaluation benchmarks, but pickle memoizes the repeats down
-    to backreferences, which no production table enjoys.  Here each
+    Recycling the original row tuples would be right for evaluation
+    benchmarks, but pickle memoizes the repeats down to backreferences,
+    which no production table enjoys.  Here each
     sampled row (and each string cell) is rebuilt as a fresh object so
     the pickled size is what distinct real rows would actually cost.
     """

@@ -37,13 +37,13 @@ already-warm workers — and a request whose config asks for
 ``workers > 1`` fans out onto shard workers when the pool has idle
 capacity.  Results are byte-identical across tiers.
 
-Engines are explicit when you want them (``make_engine("numpy")``) and
+Engines are explicit when you want them (``make_engine("row")``) and
 implicit otherwise (``config.backend`` selects one per run).
 """
 
 from __future__ import annotations
 
-from repro.engine.base import EvalEngine, make_engine, resolve_backend
+from repro.engine.base import EvalEngine, make_engine
 from repro.lang.ast import Env
 from repro.provenance.demo import Demonstration
 from repro.serve import (
@@ -79,6 +79,6 @@ __all__ = [
     # stop predicates
     "StopSpec", "GroundTruthStop", "CallableStop", "as_stop_spec",
     # engines & data
-    "EvalEngine", "make_engine", "resolve_backend",
+    "EvalEngine", "make_engine",
     "Table", "Env", "Demonstration",
 ]

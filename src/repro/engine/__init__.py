@@ -19,44 +19,32 @@ swappable component:
   too, over :class:`~repro.engine.tracked_columns.TrackedBlock` (an
   expression grid whose value shadow is the shared concrete block).
 
-* :class:`~repro.engine.numpy_kernels.NumpyEngine` — the columnar engine
-  with NumPy-vectorized kernels on the comparison hot paths (filters,
-  join pair-building, sorts, grouping, aggregation, windows, arithmetic).
-  Gated on ``import numpy`` at construction: ``make_engine("numpy")``
-  degrades to the pure-python ``ColumnarEngine`` (with a logged warning)
-  when NumPy is absent, so the knob is always safe to set.
-
-All backends also expose ``evaluate_many`` / ``evaluate_tracking_many``
+Both backends also expose ``evaluate_many`` / ``evaluate_tracking_many``
 — batched evaluation that amortizes dispatch, cache probing and hole
 checking over a stream of sibling candidates — and are held byte-identical
 by the registry-wide differential suites plus the generative cross-backend
 fuzz harness (``tests/test_backend_fuzz.py``).
 
 ``make_engine(name)`` is the factory the synthesis layer uses
-(``SynthesisConfig.backend`` selects the name); ``capabilities()`` reports
-what each name resolves to on this host.
+(``SynthesisConfig.backend`` selects the name).
 
-:mod:`repro.engine.shm` is the zero-copy shared-memory column store the
+:mod:`repro.engine.shm` is the shared-memory column store the
 parallel layer dispatches through: column blocks and whole environments
 are laid out in ``multiprocessing.shared_memory`` segments, workers attach
 read-only via picklable handles, and engines *adopt* the decoded columns
-(``EvalEngine.adopt_env``) so leaf blocks — and, on the NumPy backend,
-typed ``NDColumn`` shadows — alias the shared buffers instead of being
-rebuilt per worker.
+(``EvalEngine.adopt_env``) so leaf blocks reuse the coordinator's layout
+work instead of being rebuilt per worker.
 """
 
-from repro.engine.base import BACKENDS, EngineStats, EvalEngine, \
-    capabilities, make_engine, resolve_backend
+from repro.engine.base import BACKENDS, EngineStats, EvalEngine, make_engine
 from repro.engine.cache import BoundedCache
 from repro.engine.columnar import ColumnarEngine
 from repro.engine.columns import ColumnBlock
-from repro.engine.numpy_kernels import HAVE_NUMPY, NumpyEngine
 from repro.engine.row import RowEngine
 from repro.engine.tracked_columns import TrackedBlock
 
 __all__ = [
     "BACKENDS", "EngineStats", "EvalEngine", "make_engine",
-    "resolve_backend", "capabilities", "HAVE_NUMPY",
     "BoundedCache", "ColumnBlock", "TrackedBlock", "RowEngine",
-    "ColumnarEngine", "NumpyEngine",
+    "ColumnarEngine",
 ]

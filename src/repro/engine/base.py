@@ -30,10 +30,7 @@ from repro.table.table import Table
 DEFAULT_GRID_CACHE = 50_000
 
 #: The selectable evaluation backends (``SynthesisConfig.backend``).
-#: ``"numpy"`` is always selectable — construction falls back to the
-#: pure-python columnar engine (with a logged warning) when NumPy is not
-#: importable; see :func:`resolve_backend` / :func:`capabilities`.
-BACKENDS: tuple[str, ...] = ("row", "columnar", "numpy")
+BACKENDS: tuple[str, ...] = ("row", "columnar")
 
 #: What ``errors="none"`` batch evaluation tolerates: the evaluation
 #: failures of ill-typed candidates (e.g. arithmetic over a NULL-producing
@@ -270,8 +267,7 @@ class EvalEngine:
         """Pre-seed evaluation caches from shared-memory column storage.
 
         ``adopted`` is the per-table payload from
-        :func:`repro.engine.shm.adopt_env` — already-decoded column lists
-        plus (where valid) zero-copy NumPy views of the shared buffers.
+        :func:`repro.engine.shm.adopt_env` — already-decoded column lists.
         The base implementation is a no-op: adoption is an optimization,
         never a semantic requirement, so backends without a columnar cache
         to seed (the row engine) simply re-derive state on demand.
@@ -286,19 +282,11 @@ class EvalEngine:
 
 
 def make_engine(name: str = "columnar", **kwargs) -> EvalEngine:
-    """Factory: ``"row"`` | ``"columnar"`` | ``"numpy"``.
-
-    ``"numpy"`` requires NumPy at engine-construction time; when it is not
-    importable the factory logs a warning once and hands back a
-    :class:`~repro.engine.columnar.ColumnarEngine` — results are identical
-    across backends, so the fallback only trades speed.
-    """
+    """Factory: ``"row"`` | ``"columnar"``."""
     from repro.engine.columnar import ColumnarEngine
-    from repro.engine.numpy_kernels import make_numpy_engine
     from repro.engine.row import RowEngine
 
-    factories = {"row": RowEngine, "columnar": ColumnarEngine,
-                 "numpy": make_numpy_engine}
+    factories = {"row": RowEngine, "columnar": ColumnarEngine}
     try:
         factory = factories[name]
     except KeyError:
@@ -306,41 +294,3 @@ def make_engine(name: str = "columnar", **kwargs) -> EvalEngine:
             f"unknown engine backend {name!r}; choose from {sorted(factories)}"
         ) from None
     return factory(**kwargs)
-
-
-def resolve_backend(name: str) -> str:
-    """The backend ``make_engine(name)`` will actually construct.
-
-    ``"numpy"`` resolves to ``"columnar"`` when NumPy is unavailable;
-    every other known name resolves to itself.  Callers that compare a
-    configured backend against ``engine.name`` (the synthesizer's per-run
-    override detection) must compare resolved names, or a fallback engine
-    would be rebuilt on every run.
-    """
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown engine backend {name!r}; choose from {sorted(BACKENDS)}")
-    if name == "numpy":
-        from repro.engine.numpy_kernels import HAVE_NUMPY
-
-        return "numpy" if HAVE_NUMPY else "columnar"
-    return name
-
-
-def capabilities() -> dict:
-    """Probe of the evaluation backends this process can construct.
-
-    Reports the selectable names, what each resolves to on this host
-    (``"numpy"`` degrades to ``"columnar"`` without NumPy), and the NumPy
-    availability/version driving that resolution.  Experiment drivers log
-    this next to results so a run's effective kernels are reconstructable.
-    """
-    from repro.engine.numpy_kernels import HAVE_NUMPY, numpy_version
-
-    return {
-        "backends": BACKENDS,
-        "default_backend": "columnar",
-        "resolved": {name: resolve_backend(name) for name in BACKENDS},
-        "numpy_available": HAVE_NUMPY,
-        "numpy_version": numpy_version(),
-    }

@@ -1,4 +1,4 @@
-"""Zero-copy shared-memory column store (``multiprocessing.shared_memory``).
+"""Shared-memory column store (``multiprocessing.shared_memory``).
 
 The parallel layer used to pickle every input table into every worker, and
 each per-worker engine re-materialized the same columns the coordinator
@@ -16,20 +16,14 @@ segment.  Each column is encoded by the narrowest exact codec:
   64-bit buffer.
 * ``"f8"``  — every cell a Python ``float``; IEEE-754 doubles, so NaN
   payloads, infinities and signed zeros round-trip bit-exact.
-* ``"u4"``  — every cell a ``str``; fixed-width UCS-4 (the layout NumPy's
-  unicode arrays use) plus an int32 length array, so embedded and trailing
-  NUL codepoints survive exactly.
+* ``"u4"``  — every cell a ``str``; fixed-width UCS-4 plus an int32 length
+  array, so embedded and trailing NUL codepoints survive exactly.
 * ``"obj"`` — anything else (``None``/``bool``/mixed classes/huge ints):
   the column pickled whole.  Always correct, never zero-copy.
 
 Decoding rebuilds exact Python values, so an attached environment compares
 ``==`` (and hashes equal) to the original — which is what keeps the
-replay-merge determinism guarantee intact under shm dispatch.  Typed
-columns additionally record whether a **zero-copy NumPy view** of the
-buffer is semantically valid for the vectorized kernels (``nd_safe``
-replays the :func:`repro.engine.numpy_kernels.classify_column` rules at
-encode time); :func:`nd_views` then hands the NumPy engine ``NDColumn``
-shadows that alias the shared buffer directly — no copy per worker.
+replay-merge determinism guarantee intact under shm dispatch.
 
 Lifecycle and crash-safety
 --------------------------
@@ -51,12 +45,11 @@ the test-suite and CI leak-check assert through.
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 from repro.lang.ast import Env
@@ -71,9 +64,6 @@ SEGMENT_PREFIX = "reproshm"
 #: helpers degrade gracefully on platforms without it.
 SHM_DIR = "/dev/shm"
 
-#: Magnitude bound for a zero-copy int view to be valid for the NumPy
-#: kernels (mirrors ``repro.engine.numpy_kernels.INT_SAFE``).
-_ND_INT_SAFE = 2**52
 _I8_MIN, _I8_MAX = -(2**63), 2**63 - 1
 
 
@@ -124,7 +114,6 @@ class ColumnMeta:
     count: int                  # number of cells
     width: int = 0              # u4: UCS-4 code units per cell
     lengths_offset: int = 0     # u4: offset of the int32 length array
-    nd_safe: bool = False       # zero-copy NumPy view is semantically valid
 
 
 @dataclass(frozen=True)
@@ -161,10 +150,9 @@ class EnvHandle:
 def encode_column(column: Sequence) -> tuple[str, tuple[bytes, ...], dict]:
     """Encode one column: ``(tag, payload parts, meta)``.
 
-    ``meta`` carries the codec extras (``width``/lengths for ``u4``) and
-    the ``nd_safe`` verdict.  Parts are concatenated by the segment
-    builder; ``u4`` contributes (lengths, payload) as two parts so each
-    can be 8-aligned independently.
+    ``meta`` carries the codec extras (``width`` for ``u4``).  Parts are
+    concatenated by the segment builder; ``u4`` contributes (lengths,
+    payload) as two parts so each can be 8-aligned independently.
     """
     n = len(column)
     if n:
@@ -174,22 +162,16 @@ def encode_column(column: Sequence) -> tuple[str, tuple[bytes, ...], dict]:
         cls, homogeneous = None, False
     if homogeneous and cls is int:
         if all(_I8_MIN <= v <= _I8_MAX for v in column):
-            payload = struct.pack(f"<{n}q", *column)
-            nd_safe = all(-_ND_INT_SAFE <= v <= _ND_INT_SAFE for v in column)
-            return "i8", (payload,), {"nd_safe": nd_safe}
+            return "i8", (struct.pack(f"<{n}q", *column),), {}
     elif homogeneous and cls is float:
-        payload = struct.pack(f"<{n}d", *column)
-        nd_safe = all(math.isfinite(v) for v in column) and not any(
-            v == 0.0 and math.copysign(1.0, v) < 0 for v in column)
-        return "f8", (payload,), {"nd_safe": nd_safe}
+        return "f8", (struct.pack(f"<{n}d", *column),), {}
     elif homogeneous and cls is str:
         width = max(len(s) for s in column)
         lengths = struct.pack(f"<{n}i", *(len(s) for s in column))
         pad = b"\0" * (4 * width)
         payload = b"".join(
             (s.encode("utf-32-le") + pad)[: 4 * width] for s in column)
-        nd_safe = width > 0 and not any("\x00" in s for s in column)
-        return "u4", (lengths, payload), {"width": width, "nd_safe": nd_safe}
+        return "u4", (lengths, payload), {"width": width}
     payload = pickle.dumps(list(column), protocol=pickle.HIGHEST_PROTOCOL)
     return "obj", (payload,), {}
 
@@ -234,11 +216,9 @@ class _SegmentBuilder:
             offset = self.add(parts[1])
             return ColumnMeta(tag, offset, len(parts[1]), len(column),
                               width=meta["width"],
-                              lengths_offset=lengths_offset,
-                              nd_safe=meta["nd_safe"])
+                              lengths_offset=lengths_offset)
         offset = self.add(parts[0])
-        return ColumnMeta(tag, offset, len(parts[0]), len(column),
-                          nd_safe=meta.get("nd_safe", False))
+        return ColumnMeta(tag, offset, len(parts[0]), len(column))
 
     def write_into(self, buf) -> None:
         for offset, payload in self._parts:
@@ -387,10 +367,7 @@ class Attachment:
         for seg in self._segments.values():
             try:
                 seg.close()
-            except BufferError:
-                # A zero-copy NumPy view still aliases the buffer; the
-                # mapping dies with the process, which is imminent for
-                # every caller that hits this.
+            except BufferError:     # pragma: no cover - view still aliased
                 pass
         self._segments.clear()
 
@@ -428,62 +405,20 @@ def attach_env(handle: EnvHandle, attachment: Attachment) -> Env:
     return Env(tuple(attach_table(t, attachment) for t in handle.tables))
 
 
-def nd_views(handle: BlockHandle, attachment: Attachment) -> list:
-    """Zero-copy NumPy views of the block's columns (``None`` per column
-    when no semantically-valid view exists or NumPy is absent).
-
-    The arrays alias the shared buffer directly — this is the no-copy
-    path the NumPy engine's ``NDColumn`` shadows ride on.  Views are
-    read-only; the buffer outlives them via the attachment.
-    """
-    try:
-        import numpy as np
-    except ImportError:
-        return [None] * len(handle.columns)
-    if handle.row_mask is not None:
-        return [None] * len(handle.columns)
-    seg = attachment.get(handle.segment)
-    views = []
-    for meta in handle.columns:
-        if not meta.nd_safe:
-            views.append(None)
-            continue
-        if meta.tag == "i8":
-            arr = np.frombuffer(seg.buf, dtype=np.int64, count=meta.count,
-                                offset=meta.offset)
-        elif meta.tag == "f8":
-            arr = np.frombuffer(seg.buf, dtype=np.float64, count=meta.count,
-                                offset=meta.offset)
-        elif meta.tag == "u4":
-            arr = np.ndarray((meta.count,), dtype=f"<U{meta.width}",
-                             buffer=seg.buf, offset=meta.offset)
-        else:                   # pragma: no cover - obj never nd_safe
-            views.append(None)
-            continue
-        arr.flags.writeable = False
-        views.append(arr)
-    return views
-
-
 @dataclass
 class AdoptedTable:
-    """One attached table, pre-decoded for engine adoption.
-
-    ``columns`` are the exact Python value lists; ``views`` the optional
-    zero-copy NumPy aliases (index-aligned, ``None`` where invalid).
-    """
+    """One attached table, pre-decoded for engine adoption."""
 
     name: str
     columns: list[list]
     n_rows: int
-    views: list = field(default_factory=list)
 
 
-def adopt_env(handle: EnvHandle, attachment: Attachment,
-              want_views: bool = True) -> tuple[Env, list[AdoptedTable]]:
+def adopt_env(handle: EnvHandle,
+              attachment: Attachment) -> tuple[Env, list[AdoptedTable]]:
     """Attach an environment once, returning both the rebuilt ``Env`` and
-    the per-table adoption payload (decoded columns + zero-copy views)
-    that :meth:`repro.engine.base.EvalEngine.adopt_env` seeds caches from.
+    the per-table decoded columns that
+    :meth:`repro.engine.base.EvalEngine.adopt_env` seeds caches from.
     """
     adopted = []
     tables = []
@@ -493,9 +428,7 @@ def adopt_env(handle: EnvHandle, attachment: Attachment,
         rows = tuple(zip(*columns)) if columns else \
             tuple(() for _ in range(n_rows))
         tables.append(Table(th.name, th.schema, rows))
-        views = nd_views(th.block, attachment) if want_views else \
-            [None] * len(columns)
-        adopted.append(AdoptedTable(th.name, columns, n_rows, views))
+        adopted.append(AdoptedTable(th.name, columns, n_rows))
     return Env(tuple(tables)), adopted
 
 

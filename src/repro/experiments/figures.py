@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.experiments.runner import TaskResult
+from repro.experiments.runner import RESULT_COLUMNS, TaskResult
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -99,25 +99,15 @@ def fig13_table(results: Sequence[TaskResult]) -> str:
 
 
 def results_csv(results: Sequence[TaskResult]) -> str:
-    """Raw per-run results as CSV (for external analysis)."""
-    header = ("task,suite,difficulty,technique,solved,time_s,visited,pruned,"
-              "concrete_checked,consistent_found,timed_out,rank,demo_cells,"
-              "backend,workers,engine_concrete_evals,engine_concrete_hits,"
-              "engine_tracking_evals,engine_tracking_hits,"
-              "consistency_checks,consistency_hits,consistency_col_pruned,"
-              "col_match_evals,col_match_hits,"
-              "shm_segments,shm_bytes_shipped,cross_shard_hits")
-    rows = [header]
-    for r in results:
-        rows.append(
-            f"{r.task},{r.suite},{r.difficulty},{r.technique},{r.solved},"
-            f"{r.time_s:.3f},{r.visited},{r.pruned},{r.concrete_checked},"
-            f"{r.consistent_found},{r.timed_out},"
-            f"{'' if r.rank is None else r.rank},{r.demo_cells},{r.backend},"
-            f"{r.workers},{r.engine_concrete_evals},{r.engine_concrete_hits},"
-            f"{r.engine_tracking_evals},{r.engine_tracking_hits},"
-            f"{r.consistency_checks},{r.consistency_hits},"
-            f"{r.consistency_col_pruned},{r.col_match_evals},"
-            f"{r.col_match_hits},{r.shm_segments},{r.shm_bytes_shipped},"
-            f"{r.cross_shard_hits}")
+    """Raw per-run results as CSV (for external analysis): one column per
+    :data:`~repro.experiments.runner.RESULT_COLUMNS` entry."""
+
+    def cell(name: str, value) -> str:
+        if value is None:
+            return ""
+        return f"{value:.3f}" if name == "time_s" else str(value)
+
+    rows = [",".join(RESULT_COLUMNS)]
+    rows += [",".join(cell(name, value) for name, value in r.as_dict().items())
+             for r in results]
     return "\n".join(rows) + "\n"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from repro.engine.base import EngineStats
 from repro.experiments.runner import TaskResult
 
 
@@ -85,45 +86,41 @@ def visit_reduction(results: Sequence[TaskResult],
     return 100.0 * (1 - ref / other_mean)
 
 
+def engine_totals(results: Sequence[TaskResult],
+                  technique: str) -> EngineStats:
+    """One technique's engine counters summed over the sweep — so every
+    rate below weighs runs with more traffic more, which is the rate the
+    engines actually experienced."""
+    return EngineStats.merge(*(r.engine for r in results
+                               if r.technique == technique))
+
+
+def _percent(rate: float, total: int) -> float:
+    return 100.0 * rate if total else float("nan")
+
+
 def cache_hit_rates(results: Sequence[TaskResult],
                     technique: str) -> tuple[float, float]:
-    """(concrete %, tracking %) of engine evaluations served from cache.
-
-    Aggregated over raw counters — runs with more traffic weigh more, which
-    is the rate the engines actually experienced across the sweep.
-    """
-    subset = [r for r in results if r.technique == technique]
-    concrete_total = sum(r.engine_concrete_evals + r.engine_concrete_hits
-                         for r in subset)
-    tracking_total = sum(r.engine_tracking_evals + r.engine_tracking_hits
-                         for r in subset)
-    concrete = (100.0 * sum(r.engine_concrete_hits for r in subset)
-                / concrete_total) if concrete_total else float("nan")
-    tracking = (100.0 * sum(r.engine_tracking_hits for r in subset)
-                / tracking_total) if tracking_total else float("nan")
-    return concrete, tracking
+    """(concrete %, tracking %) of engine evaluations served from cache."""
+    s = engine_totals(results, technique)
+    return (_percent(s.concrete_hit_rate, s.concrete_evals + s.concrete_hits),
+            _percent(s.tracking_hit_rate, s.tracking_evals + s.tracking_hits))
 
 
 def consistency_stats(results: Sequence[TaskResult],
                       technique: str) -> tuple[float, float, float]:
     """(verdict-cache %, column-memo %, column-pruned %) for the incremental
-    consistency checker — aggregated over raw counters like
-    :func:`cache_hit_rates`, so runs with more traffic weigh more.
+    consistency checker.
 
     Column-pruned is the share of *computed* verdicts decided at the
     column stage, before any row embedding ran.
     """
-    subset = [r for r in results if r.technique == technique]
-    checks = sum(r.consistency_checks for r in subset)
-    verdict_total = checks + sum(r.consistency_hits for r in subset)
-    match_total = sum(r.col_match_evals + r.col_match_hits for r in subset)
-    verdict = (100.0 * sum(r.consistency_hits for r in subset)
-               / verdict_total) if verdict_total else float("nan")
-    matches = (100.0 * sum(r.col_match_hits for r in subset)
-               / match_total) if match_total else float("nan")
-    pruned = (100.0 * sum(r.consistency_col_pruned for r in subset)
-              / checks) if checks else float("nan")
-    return verdict, matches, pruned
+    s = engine_totals(results, technique)
+    return (_percent(s.consistency_hit_rate,
+                     s.consistency_checks + s.consistency_hits),
+            _percent(s.col_match_hit_rate,
+                     s.col_match_evals + s.col_match_hits),
+            _percent(s.col_prune_rate, s.consistency_checks))
 
 
 def shm_stats(results: Sequence[TaskResult],
@@ -134,10 +131,8 @@ def shm_stats(results: Sequence[TaskResult],
     All-zero when runs were serial or shm was off — the report only prints
     the line when there was traffic.
     """
-    subset = [r for r in results if r.technique == technique]
-    return (sum(r.shm_segments for r in subset),
-            sum(r.shm_bytes_shipped for r in subset),
-            sum(r.cross_shard_hits for r in subset))
+    s = engine_totals(results, technique)
+    return s.shm_segments, s.shm_bytes_shipped, s.cross_shard_hits
 
 
 def ranking_stats(results: Sequence[TaskResult],
@@ -166,12 +161,7 @@ def observation_report(results: Sequence[TaskResult]) -> str:
     lines = [f"=== Experiment report over {n_tasks} tasks ===", ""]
     backends = sorted({r.backend for r in results if r.backend})
     if backends:
-        from repro.engine import capabilities
-
-        caps = capabilities()
-        numpy_note = caps["numpy_version"] or "unavailable"
-        lines.append("evaluation backend: " + ", ".join(backends)
-                     + f" (host numpy: {numpy_note})")
+        lines.append("evaluation backend: " + ", ".join(backends))
         workers = sorted({r.workers for r in results})
         lines.append("search workers: "
                      + ", ".join(str(w) for w in workers))
@@ -210,7 +200,8 @@ def observation_report(results: Sequence[TaskResult]) -> str:
         verdict, matches, pruned = consistency_stats(results, tech)
         lines.append(f"  {tech:12s} {verdict:5.1f}% / {matches:5.1f}% / "
                      f"{pruned:5.1f}%")
-    if any(r.shm_segments or r.cross_shard_hits for r in results):
+    if any(r.engine.shm_segments or r.engine.cross_shard_hits
+           for r in results):
         lines.append("shared-memory dispatch (segments / bytes shipped / "
                      "cross-shard hits):")
         for tech in techniques:

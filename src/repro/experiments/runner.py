@@ -15,8 +15,7 @@ hardware-bound (the paper used 600 s; pure Python needs humbler defaults):
 from __future__ import annotations
 
 import os
-import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from repro.benchmarks.task import BenchmarkTask
 from repro.engine.base import EngineStats
@@ -88,27 +87,6 @@ def task_config(task: BenchmarkTask,
     return task.config.replace(**overrides)
 
 
-def _coerce_run_config(run_config, legacy: dict,
-                       caller: str) -> "RunConfig | SynthesisConfig":
-    """Resolve the config argument, absorbing deprecated loose kwargs."""
-    if legacy:
-        unknown = set(legacy) - {f.name for f in fields(RunConfig)}
-        if unknown:
-            raise TypeError(
-                f"{caller}() got unexpected keyword arguments "
-                f"{sorted(unknown)}")
-        warnings.warn(
-            f"passing loose keyword arguments to {caller}() is deprecated; "
-            f"pass a RunConfig or SynthesisConfig instead",
-            DeprecationWarning, stacklevel=3)
-        if run_config is not None:
-            raise TypeError(
-                f"{caller}() got both a config object and loose keyword "
-                f"arguments; pass one or the other")
-        return RunConfig(**legacy)
-    return run_config if run_config is not None else RunConfig()
-
-
 @dataclass
 class TaskResult:
     """One (task, technique) measurement."""
@@ -128,45 +106,36 @@ class TaskResult:
     demo_cells: int
     backend: str = ""           # evaluation backend that produced this run
     workers: int = 1            # parallel shards the run was searched with
-    # Engine cache traffic for the run (summed over workers when sharded).
-    engine_concrete_evals: int = 0
-    engine_concrete_hits: int = 0
-    engine_tracking_evals: int = 0
-    engine_tracking_hits: int = 0
-    # Incremental consistency-checker traffic (engine-owned, also summed
-    # over workers): verdicts computed / served from cache, verdicts
-    # decided at the column stage before any row embedding, and column
-    # match matrices computed / served from the memo.
-    consistency_checks: int = 0
-    consistency_hits: int = 0
-    consistency_col_pruned: int = 0
-    col_match_evals: int = 0
-    col_match_hits: int = 0
-    # Shared-memory dispatch / cross-shard sub-plan cache telemetry
-    # (repro.engine.shm + repro.parallel.plan_cache): segments laid out,
-    # payload bytes shipped through them, and sub-plan blocks served from
-    # a sibling shard's published result.
-    shm_segments: int = 0
-    shm_bytes_shipped: int = 0
-    cross_shard_hits: int = 0
+    #: Engine cache, consistency-checker and shm traffic for the run
+    #: (summed over workers when sharded).
+    engine: EngineStats = field(default_factory=EngineStats)
 
     def as_dict(self) -> dict:
-        return dict(self.__dict__)
+        """Flat record: the run's own fields, then every engine counter."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "engine"}
+        out.update(self.engine.as_dict())
+        return out
+
+
+#: Column order of :meth:`TaskResult.as_dict` (and the results CSV).
+RESULT_COLUMNS: tuple[str, ...] = tuple(
+    [f.name for f in fields(TaskResult) if f.name != "engine"]
+    + [f.name for f in fields(EngineStats)])
 
 
 def run_task(task: BenchmarkTask, technique: str = "provenance",
-             run_config: RunConfig | SynthesisConfig | None = None,
-             **legacy) -> TaskResult:
+             run_config: RunConfig | SynthesisConfig | None = None
+             ) -> TaskResult:
     """Run one technique on one task until q_gt is found or timeout.
 
     ``run_config`` is a :class:`RunConfig` (difficulty-dependent budgets)
     or a :class:`~repro.synthesis.config.SynthesisConfig` whose execution
-    fields (:data:`EXEC_OVERRIDES`) apply on top of the task's own config.
-    Loose keyword arguments (``backend=``, ``workers=``, …) are the
-    pre-session API — still accepted, with a ``DeprecationWarning``.
+    fields (:data:`EXEC_OVERRIDES`) apply on top of the task's own config;
+    ``None`` means ``RunConfig()``.
     """
-    run_config = _coerce_run_config(run_config, legacy, "run_task")
-    config = task_config(task, run_config)
+    config = task_config(task, RunConfig() if run_config is None
+                         else run_config)
     synthesizer = Synthesizer(technique, config)
     synthesizer.reset()  # cold caches: each measurement is independent
 
@@ -184,7 +153,6 @@ def run_task(task: BenchmarkTask, technique: str = "provenance",
                      if q == result.target), None)
 
     stats = result.stats
-    engine_stats = result.engine_stats or EngineStats()
     return TaskResult(
         task=task.name, suite=task.suite, difficulty=task.difficulty,
         technique=technique, solved=result.target is not None,
@@ -193,29 +161,16 @@ def run_task(task: BenchmarkTask, technique: str = "provenance",
         consistent_found=stats.consistent_found, timed_out=stats.timed_out,
         rank=rank, demo_cells=task.demonstration.size,
         backend=synthesizer.engine.name, workers=result.workers,
-        engine_concrete_evals=engine_stats.concrete_evals,
-        engine_concrete_hits=engine_stats.concrete_hits,
-        engine_tracking_evals=engine_stats.tracking_evals,
-        engine_tracking_hits=engine_stats.tracking_hits,
-        consistency_checks=engine_stats.consistency_checks,
-        consistency_hits=engine_stats.consistency_hits,
-        consistency_col_pruned=engine_stats.consistency_col_pruned,
-        col_match_evals=engine_stats.col_match_evals,
-        col_match_hits=engine_stats.col_match_hits,
-        shm_segments=engine_stats.shm_segments,
-        shm_bytes_shipped=engine_stats.shm_bytes_shipped,
-        cross_shard_hits=engine_stats.cross_shard_hits)
+        engine=result.engine_stats or EngineStats())
 
 
 def run_suite(tasks, techniques=TECHNIQUES,
               run_config: RunConfig | SynthesisConfig | None = None,
-              progress=None, **legacy) -> list[TaskResult]:
+              progress=None) -> list[TaskResult]:
     """Run a technique sweep over a task list.
 
-    Accepts the same config forms (and deprecated loose kwargs) as
-    :func:`run_task`.
+    Accepts the same config forms as :func:`run_task`.
     """
-    run_config = _coerce_run_config(run_config, legacy, "run_suite")
     results: list[TaskResult] = []
     for task in tasks:
         for technique in techniques:

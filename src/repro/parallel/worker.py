@@ -119,10 +119,7 @@ def run_shard(shard_id: int, lanes, env, demo: Demonstration,
     attachment = None
     if isinstance(env, shm.EnvHandle):
         attachment = shm.Attachment()
-        # Zero-copy views only pay (and only stay referenced) on the NumPy
-        # backend; for the others they would just pin the mapping open.
-        env, adopted = shm.adopt_env(env, attachment,
-                                     want_views=engine.name == "numpy")
+        env, adopted = shm.adopt_env(env, attachment)
         engine.adopt_env(env, adopted)
         del adopted
     if plan_cache is not None:
@@ -217,9 +214,5 @@ def run_shard(shard_id: int, lanes, env, demo: Demonstration,
     if plan_cache is not None:
         plan_cache.close()      # detach only; publishes outlive the worker
     if attachment is not None:
-        # Drop the engine's zero-copy views (outcome already holds the
-        # stats object) so the mappings detach cleanly rather than riding
-        # the BufferError escape hatch at interpreter exit.
-        engine.reset()
         attachment.close()
     return outcome

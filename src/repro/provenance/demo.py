@@ -75,6 +75,29 @@ class Demonstration:
             out |= refs_of(row[j])
         return out
 
+    def validate(self, env: Env) -> None:
+        """Reject cell references that do not exist in ``env``.
+
+        Called at the API boundary, before any search starts: an unknown
+        table or an out-of-range row or column raises
+        :class:`~repro.errors.ExpressionError` here instead of an
+        ``IndexError`` from deep inside evaluation — and a negative index
+        never silently reads from the end of a table.
+        """
+        tables = {table.name: table for table in env.tables}
+        for ref in sorted(self.refs(), key=lambda r: (r.table, r.row, r.col)):
+            table = tables.get(ref.table)
+            if table is None:
+                raise ExpressionError(
+                    f"demonstration cell {ref!r} names unknown table "
+                    f"{ref.table!r}; have {sorted(tables)}")
+            if not (0 <= ref.row < table.n_rows
+                    and 0 <= ref.col < table.n_cols):
+                raise ExpressionError(
+                    f"demonstration cell {ref!r} is outside table "
+                    f"{ref.table!r} ({table.n_rows} rows x "
+                    f"{table.n_cols} columns)")
+
     def is_partial(self) -> bool:
         """True when any cell contains an ``f♦`` application."""
 

@@ -60,7 +60,6 @@ from :mod:`repro.serve.faults`.
 from __future__ import annotations
 
 import atexit
-import gc
 import logging
 import os
 import queue
@@ -72,7 +71,7 @@ from dataclasses import dataclass, field
 
 from repro.abstraction.base import Abstraction
 from repro.engine import shm
-from repro.engine.base import EvalEngine, make_engine, resolve_backend
+from repro.engine.base import EvalEngine, make_engine
 from repro.parallel.executor import pick_context
 from repro.parallel.plan_cache import LocalPlanCache, ProcessPlanCache
 from repro.serve.faults import (
@@ -147,13 +146,12 @@ def warm_key(config: SynthesisConfig, technique: str) -> tuple:
     """The identity of one warm engine+abstraction pair.
 
     Exactly the configuration fields that select or parameterize
-    evaluation state: the *resolved* backend (a ``numpy`` request degraded
-    to the columnar fallback shares the columnar warm engine), the
-    technique name, and the abstraction knobs ``build_abstraction``
-    consumes.  Everything else (budgets, search-space knobs) rides in the
-    session and never fragments the warm cache.
+    evaluation state: the backend, the technique name, and the abstraction
+    knobs ``build_abstraction`` consumes.  Everything else (budgets,
+    search-space knobs) rides in the session and never fragments the warm
+    cache.
     """
-    return (resolve_backend(config.backend), technique,
+    return (config.backend, technique,
             config.target_refinement, config.value_shadow,
             config.head_typing)
 
@@ -379,7 +377,7 @@ class _SessionHost:
         if hosted.adopted is not None:
             # Re-seed the shm-backed column blocks (idempotent): a warm
             # engine that last served a different env gets this env's
-            # zero-copy blocks back without re-decoding.
+            # decoded blocks back without re-decoding.
             engine.adopt_env(session.env, hosted.adopted)
 
     def _slice_checkpoint(self, session: SynthesisSession) -> bytes | None:
@@ -690,12 +688,6 @@ def _process_worker_main(worker_id: int, jobs, results, plan_client,
     except InjectedCrash:
         os._exit(FAULT_EXITCODE)
     plan_cache.close()
-    # Release every zero-copy view (warm engines, env memo) before
-    # detaching, so segment mappings close cleanly instead of deferring
-    # to interpreter-exit GC with exported pointers still alive.
-    host = None
-    envs.clear()
-    gc.collect()
     attachment.close()
 
 

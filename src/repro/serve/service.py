@@ -310,8 +310,11 @@ class SynthesisService:
         remaining lanes re-dispatched onto shard workers (byte-identical
         to slicing serially); under load it degrades to ordinary slices.
 
-        Raises :class:`ServiceOverloaded` when ``max_requests`` requests
-        are already live — its ``retry_after_s`` tells the caller how
+        Raises :class:`~repro.errors.ExpressionError` for a demonstration
+        that references cells outside ``tables`` — before admission, so a
+        bad request never counts against the bound — and
+        :class:`ServiceOverloaded` when ``max_requests`` requests are
+        already live — its ``retry_after_s`` tells the caller how
         long to back off (with jitter), the paper's interactive loop
         degrading gracefully instead of queueing without bound.
         """
@@ -319,15 +322,17 @@ class SynthesisService:
             raise RuntimeError("service is closed")
         if self._loop is None:
             self._loop = asyncio.get_running_loop()
+        cfg = config or SynthesisConfig()
+        # Built before admission: the constructor validates the
+        # demonstration against the tables, so a bad request fails here.
+        session = SynthesisSession(tables, demo, cfg, abstraction=technique,
+                                   stop=as_stop_spec(stop))
         if len(self._live) >= self.config.max_requests:
             backlog = sum(self.pool.queue_depths()) + len(self._live)
             raise ServiceOverloaded(
                 f"{len(self._live)} live requests (bound "
                 f"{self.config.max_requests}); retry later",
                 retry_after_s=round(min(5.0, 0.05 + 0.02 * backlog), 3))
-        cfg = config or SynthesisConfig()
-        session = SynthesisSession(tables, demo, cfg, abstraction=technique,
-                                   stop=as_stop_spec(stop))
         env_key = self._env_key(session.env)
         if worker is None:
             worker = self._route(warm_key(cfg, technique), env_key)

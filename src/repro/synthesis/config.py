@@ -38,11 +38,9 @@ class SynthesisConfig:
 
     # Evaluation backend (repro.engine): "columnar" (default) evaluates over
     # column-major blocks with structural-key subtree caching; "row" is the
-    # row-at-a-time tree interpreter; "numpy" layers vectorized NumPy
-    # kernels over the columnar engine (falling back to "columnar" with a
-    # logged warning when NumPy is not installed).  All backends produce
-    # identical results — the knob trades evaluation strategy, never
-    # search behavior.
+    # row-at-a-time reference interpreter the differential suites compare
+    # against.  Both produce identical results — the knob trades
+    # evaluation strategy, never search behavior.
     backend: str = "columnar"
 
     # --- parallel search ---------------------------------------------------

@@ -101,6 +101,7 @@ class SynthesisSession:
                  stop: StopSpec | None = None) -> None:
         self.env = tables if isinstance(tables, ast.Env) \
             else ast.Env(tuple(tables))
+        demo.validate(self.env)
         self.demo = demo
         self.config = config or SynthesisConfig()
         #: Technique name when known — required for checkpoint/resume and

@@ -82,30 +82,6 @@ def subsequence_match(needles: Sequence, haystack: Sequence,
     return go(0, 0)
 
 
-def bitmask_from_bools(bools) -> int:
-    """A row bitmask (bit ``r`` set iff ``bools[r]``) from a boolean vector.
-
-    This is the bridge between vectorized kernels and the bitset matching
-    core: a NumPy boolean mask is packed directly (``np.packbits`` →
-    ``int.from_bytes``) into the arbitrary-precision integer format that
-    :func:`bitset_match` / :func:`bitset_embedding_exists` consume — no
-    per-element Python loop, no intermediate list.  Plain sequences take
-    the loop path, so callers never need to know which representation a
-    backend handed them.
-    """
-    tobytes = getattr(bools, "tobytes", None)
-    if tobytes is not None:                      # ndarray fast path
-        import numpy as np
-
-        packed = np.packbits(bools, bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little")
-    mask = 0
-    for r, flag in enumerate(bools):
-        if flag:
-            mask |= 1 << r
-    return mask
-
-
 def bitset_match(adjacency: Sequence[int], n_right: int) -> list[int] | None:
     """:func:`bipartite_match` over bitmask adjacency rows.
 

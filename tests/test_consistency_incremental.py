@@ -15,7 +15,7 @@ pruning, batching equivalence, and reset behavior.
 import pytest
 
 from repro.benchmarks import all_tasks, instantiation_stream
-from repro.engine import HAVE_NUMPY, make_engine
+from repro.engine import make_engine
 from repro.provenance.consistency import demo_consistent
 
 #: Concrete candidates per task for the registry-wide differential sweep.
@@ -62,15 +62,6 @@ def test_incremental_matches_oracle_columnar(task):
 @pytest.mark.parametrize("task", ROW_TASKS, ids=[t.name for t in ROW_TASKS])
 def test_incremental_matches_oracle_row(task):
     assert_matches_oracle(task, "row")
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-@pytest.mark.parametrize("task", TASKS, ids=[t.name for t in TASKS])
-def test_incremental_matches_oracle_numpy(task):
-    """The NumPy backend's cached TrackedBlock columns (handed out by
-    identity through ``tracked_columns_many``) must drive the checker to
-    the same verdicts as the naive oracle on every registry task."""
-    assert_matches_oracle(task, "numpy")
 
 
 @pytest.fixture()

@@ -3,15 +3,12 @@
 import pytest
 
 from repro.engine import (
-    HAVE_NUMPY,
+    BACKENDS,
     BoundedCache,
     ColumnarEngine,
     ColumnBlock,
-    NumpyEngine,
     RowEngine,
-    capabilities,
     make_engine,
-    resolve_backend,
 )
 from repro.engine.columns import (
     arithmetic_block,
@@ -95,40 +92,35 @@ class TestMakeEngine:
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown engine backend"):
             make_engine("gpu")
+
+    def test_backends_are_row_and_columnar(self):
+        from repro.synthesis.config import SynthesisConfig
+        assert BACKENDS == ("row", "columnar")
+        with pytest.raises(ValueError, match="unknown backend"):
+            SynthesisConfig(backend="numpy")
         with pytest.raises(ValueError, match="unknown engine backend"):
-            resolve_backend("gpu")
+            make_engine("numpy")
 
-    def test_numpy_backend_resolution(self):
-        engine = make_engine("numpy")
-        if HAVE_NUMPY:
-            assert isinstance(engine, NumpyEngine)
-            assert engine.name == "numpy"
-            assert resolve_backend("numpy") == "numpy"
-        else:
-            # The gate: no NumPy means a pure-python columnar fallback.
-            assert isinstance(engine, ColumnarEngine)
-            assert engine.name == "columnar"
-            assert resolve_backend("numpy") == "columnar"
+    def test_public_api_does_not_import_numpy(self):
+        """The library is pure Python: importing the facade (and with it
+        every engine) must leave NumPy unloaded, in a fresh interpreter
+        where no other test could have imported it."""
+        import os
+        import subprocess
+        import sys
 
-    def test_capabilities_probe(self):
-        caps = capabilities()
-        assert set(caps["backends"]) == {"row", "columnar", "numpy"}
-        assert caps["default_backend"] == "columnar"
-        assert caps["resolved"]["columnar"] == "columnar"
-        assert caps["numpy_available"] == HAVE_NUMPY
-        assert (caps["numpy_version"] is not None) == HAVE_NUMPY
-        assert caps["resolved"]["numpy"] == \
-            ("numpy" if HAVE_NUMPY else "columnar")
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = ("import sys, repro.api, repro.engine; "
+                 "print('numpy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
-ENGINE_CLASSES = [RowEngine, ColumnarEngine,
-                  pytest.param(NumpyEngine,
-                               marks=pytest.mark.skipif(
-                                   not HAVE_NUMPY,
-                                   reason="NumPy not installed"))]
-
-
-@pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
+@pytest.mark.parametrize("engine_cls", [RowEngine, ColumnarEngine])
 class TestEngineContract:
     def test_evaluate_matches_semantics(self, engine_cls, env):
         from repro.semantics import evaluate
@@ -304,21 +296,17 @@ class TestColumnBlockKernels:
         assert out.row_tuples() == [("A", 35), ("B", 70)]
 
 
-def _backends():
-    return ["row", "columnar"] + (["numpy"] if HAVE_NUMPY else [])
-
-
 class TestMixedDtypeOrdering:
-    """Sort/aggregate kernels over mixed dtypes and NULLs, all backends.
+    """Sort/aggregate kernels over mixed dtypes and NULLs, row vs columnar.
 
     The contract under test (pinned while building the cross-backend fuzz
-    harness): every backend orders values exactly like the row engine's
-    ``value_sort_key`` — numbers < strings < booleans < NULL, NULLs last
-    ascending and therefore first descending — and aggregates skip NULLs
-    identically, including the typed-array backend whose fixed-width
-    representations (int64, float64, UCS-4) must never leak their own
-    comparison semantics (the fuzzer caught NumPy's trailing-NUL string
-    truncation doing exactly that).
+    harness): the columnar engine orders values exactly like the row
+    engine's ``value_sort_key`` — numbers < strings < booleans < NULL,
+    NULLs last ascending and therefore first descending — and aggregates
+    skip NULLs identically.  The edge-case inputs below (NUL-bearing
+    strings, signed-zero ties, ints at the float-exactness bound, products
+    past int64, mixed NULL/bool columns) are the ones fixed-width
+    representations get wrong; exact Python values must survive them.
     """
 
     def _mixed_env(self):
@@ -326,18 +314,21 @@ class TestMixedDtypeOrdering:
                 (True, "a\x00", 10**13), ("x", "", -1), (2, "a", 2.0000001)]
         return Env.of(Table.from_rows("M", ["k", "s", "v"], rows))
 
-    def _assert_all_backends_match(self, queries, env):
-        reference = RowEngine()
+    def _assert_columnar_matches_row(self, queries, env):
         for query in queries:
+            # Fresh engines per query: ConstCmp(c, "==", True) and
+            # ConstCmp(c, "==", 1) are equal dataclasses, so a shared
+            # structural cache would answer one with the other's result.
+            reference = RowEngine()
             expected = reference.evaluate(query, env)
-            tracked = reference.evaluate_tracking(query, env)
-            for backend in _backends()[1:]:
-                engine = make_engine(backend)
-                actual = engine.evaluate(query, env)
-                assert actual.rows == expected.rows, (backend, query)
-                assert actual.schema == expected.schema, (backend, query)
-                assert engine.evaluate_tracking(query, env) == tracked, \
-                    (backend, query)
+            engine = ColumnarEngine()
+            actual = engine.evaluate(query, env)
+            # repr, not ==: 0.0 == -0.0 and 1 == True would hide a
+            # backend that picks the other representative.
+            assert repr(actual.rows) == repr(expected.rows), query
+            assert actual.schema == expected.schema, query
+            assert engine.evaluate_tracking(query, env) == \
+                reference.evaluate_tracking(query, env), query
 
     def test_sort_null_ordering_matches_row_engine(self):
         env = self._mixed_env()
@@ -346,7 +337,7 @@ class TestMixedDtypeOrdering:
                    Sort(t, cols=(0,), ascending=False),
                    Sort(t, cols=(1, 2), ascending=True),
                    Sort(t, cols=(2, 1), ascending=False)]
-        self._assert_all_backends_match(queries, env)
+        self._assert_columnar_matches_row(queries, env)
 
     def test_sort_null_last_ascending_first_descending(self):
         env = self._mixed_env()
@@ -367,7 +358,7 @@ class TestMixedDtypeOrdering:
         queries += [Partition(t, keys=(), agg_func=f, agg_col=0)
                     for f in ("max", "min", "count", "cummax", "cummin",
                               "rank", "rank_desc", "dense_rank")]
-        self._assert_all_backends_match(queries, env)
+        self._assert_columnar_matches_row(queries, env)
 
     def test_rank_of_null_matches_row_engine(self):
         env = Env.of(Table.from_rows(
@@ -375,47 +366,104 @@ class TestMixedDtypeOrdering:
         queries = [Partition(TableRef("M"), keys=(), agg_func=f, agg_col=0)
                    for f in ("rank", "rank_desc", "cumsum", "cumavg",
                              "cummax", "cummin", "count")]
-        self._assert_all_backends_match(queries, env)
+        self._assert_columnar_matches_row(queries, env)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_nul_bearing_strings_stay_on_object_path(self):
-        """NumPy's UCS-4 arrays drop trailing NUL codepoints; such columns
-        must never be typed or "a\\x00" compares equal to "a"."""
-        from repro.engine.numpy_kernels import classify_column
-        assert classify_column(["a\x00", "a"]).is_object
-        assert classify_column(["a", "b"]).kind == "str"
-        env = Env.of(Table.from_rows("M", ["a", "b"],
-                                     [("a\x00", "a"), ("b", "b")]))
-        q = Filter(TableRef("M"), ColCmp(0, "==", 1))
-        assert make_engine("numpy").evaluate(q, env).rows == \
-            RowEngine().evaluate(q, env).rows == (("b", "b"),)
+    def test_nul_bearing_strings_match_row_engine(self):
+        """Trailing and lone NUL codepoints are significant: "a\\x00"
+        must not compare equal to "a", nor "\\x00" to ""."""
+        env = Env.of(Table.from_rows(
+            "M", ["a", "b"],
+            [("a\x00", "a"), ("b", "b"), ("\x00", ""), ("a", "a\x00")]))
+        t = TableRef("M")
+        queries = [Filter(t, ColCmp(0, op, 1))
+                   for op in ("==", "!=", "<", ">=")]
+        queries += [Filter(t, ConstCmp(0, "==", const))
+                    for const in ("a", "a\x00", "", "\x00")]
+        queries += [Sort(t, cols=(0,), ascending=True),
+                    Sort(t, cols=(1, 0), ascending=False),
+                    Group(t, keys=(0,), agg_func="count", agg_col=1),
+                    Partition(t, keys=(1,), agg_func="rank", agg_col=0)]
+        self._assert_columnar_matches_row(queries, env)
+        q = Filter(t, ColCmp(0, "==", 1))
+        assert ColumnarEngine().evaluate(q, env).rows == (("b", "b"),)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
     def test_negative_zero_ties_match_row_engine_bitwise(self):
-        """NumPy min/max reductions and accumulate seeds pick the other
-        signed zero than the reference fold; 0.0 == -0.0 makes plain
-        equality assertions blind, so compare reprs.  Columns containing
-        -0.0 must classify as object (fuzz-harness finding)."""
-        from repro.engine.numpy_kernels import classify_column
-        assert classify_column([0.0, -0.0]).is_object
-        assert classify_column([0.0, 1.5]).kind == "float"
+        """min/max reductions and running accumulators must keep the
+        signed zero the reference fold keeps (fuzz-harness finding)."""
         env = Env.of(Table.from_rows("M", ["k", "v"],
-                                     [("a", 0.0), ("a", -0.0)]))
-        queries = [Group(TableRef("M"), keys=(0,), agg_func=f, agg_col=1)
-                   for f in ("max", "min")]
-        queries += [Partition(TableRef("M"), keys=(0,), agg_func=f,
-                              agg_col=1)
-                    for f in ("cummax", "cummin", "cumsum")]
-        for query in queries:
-            expected = RowEngine().evaluate(query, env)
-            actual = make_engine("numpy").evaluate(query, env)
-            assert repr(actual.rows) == repr(expected.rows), query
+                                     [("a", 0.0), ("a", -0.0),
+                                      ("b", -0.0), ("b", 0.0)]))
+        t = TableRef("M")
+        queries = [Group(t, keys=(0,), agg_func=f, agg_col=1)
+                   for f in ("max", "min", "sum")]
+        queries += [Partition(t, keys=(0,), agg_func=f, agg_col=1)
+                    for f in ("cummax", "cummin", "cumsum", "rank")]
+        queries += [Sort(t, cols=(1,), ascending=True),
+                    Filter(t, ConstCmp(1, "==", 0.0))]
+        self._assert_columnar_matches_row(queries, env)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_float_overflow_matches_row_engine_without_warnings(self):
-        """Python float arithmetic overflows silently to inf; the NumPy
-        kernels must not leak RuntimeWarnings (backend-dependent errors
-        under -W error) and must produce the same inf cells."""
+    def test_ints_near_float_exactness_bound_match_row_engine(self):
+        """Ints around 2**52..2**53 stay exact Python ints: neighbours
+        that collapse to one double must still compare and sum apart."""
+        big = 2**53
+        env = Env.of(Table.from_rows(
+            "M", ["k", "v", "w"],
+            [("a", 2**52, 2**52 + 1), ("a", big + 1, big),
+             ("b", -(big) - 3, -(2**52)), ("b", big, float(big))]))
+        t = TableRef("M")
+        queries = [Filter(t, ColCmp(1, op, 2))
+                   for op in ("==", "!=", "<", ">")]
+        queries += [Filter(t, ConstCmp(1, "==", big + 1)),
+                    Sort(t, cols=(1,), ascending=False)]
+        queries += [Group(t, keys=(0,), agg_func=f, agg_col=1)
+                    for f in ("sum", "avg", "max", "min")]
+        queries += [Partition(t, keys=(), agg_func=f, agg_col=1)
+                    for f in ("cumsum", "rank", "dense_rank_desc")]
+        queries += [Arithmetic(t, func=f, cols=(1, 2))
+                    for f in ("add", "sub", "div")]
+        self._assert_columnar_matches_row(queries, env)
+
+    def test_int64_overflowing_products_match_row_engine(self):
+        """Products and sums past int64 promote to big Python ints, never
+        wrap around."""
+        env = Env.of(Table.from_rows(
+            "M", ["k", "x", "y"],
+            [("a", 2**62, 4), ("a", 2**63 - 1, 2**63 - 1),
+             ("b", -(2**63), 2), ("b", 3, -(2**62))]))
+        t = TableRef("M")
+        queries = [Arithmetic(t, func=f, cols=(1, 2))
+                   for f in ("mul", "add", "sub", "percent")]
+        queries += [Group(t, keys=(0,), agg_func="sum", agg_col=1),
+                    Partition(t, keys=(), agg_func="cumsum", agg_col=1),
+                    Sort(t, cols=(1,), ascending=True)]
+        self._assert_columnar_matches_row(queries, env)
+        mul = ColumnarEngine().evaluate(Arithmetic(t, func="mul",
+                                                   cols=(1, 2)), env)
+        assert mul.rows[0][-1] == 2**64
+
+    def test_mixed_null_bool_columns_match_row_engine(self):
+        """Bools are their own sort class (not 0/1) and NULLs are skipped
+        by aggregates — also in columns holding nothing else."""
+        env = Env.of(Table.from_rows(
+            "M", ["k", "b", "n"],
+            [("a", True, 1), ("a", None, 0), ("b", False, None),
+             ("b", None, True), ("a", False, False)]))
+        t = TableRef("M")
+        queries = [Filter(t, ConstCmp(1, op, const))
+                   for op in ("==", "!=", "<")
+                   for const in (True, False, 1, 0, None)]
+        queries += [Filter(t, ColCmp(1, "==", 2)),
+                    Sort(t, cols=(1,), ascending=True),
+                    Sort(t, cols=(2, 1), ascending=False)]
+        queries += [Group(t, keys=(1,), agg_func="count", agg_col=2),
+                    Group(t, keys=(0,), agg_func="max", agg_col=1)]
+        queries += [Partition(t, keys=(0,), agg_func=f, agg_col=1)
+                    for f in ("count", "cummax", "rank", "dense_rank")]
+        self._assert_columnar_matches_row(queries, env)
+
+    def test_float_overflow_matches_row_engine(self):
+        """Python float arithmetic overflows silently to inf; the columnar
+        kernels must produce the same inf cells without warnings."""
         import warnings
         env = Env.of(Table.from_rows(
             "M", ["a", "b"],
@@ -428,27 +476,8 @@ class TestMixedDtypeOrdering:
                     for op in ("==", "!=", "<", ">=")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for query in queries:
-                expected = RowEngine().evaluate(query, env)
-                assert make_engine("numpy").evaluate(query, env).rows == \
-                    expected.rows, query
+            self._assert_columnar_matches_row(queries, env)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_typed_column_classification(self):
-        from repro.engine.numpy_kernels import INT_SAFE, classify_column
-        assert classify_column([1, 2, 3]).kind == "int"
-        assert classify_column([1.0, 2.5]).kind == "float"
-        assert classify_column(["a", "b"]).kind == "str"
-        # Escape hatches: None cells, bools, mixed classes, unsafe ints,
-        # non-finite floats, empty columns.
-        assert classify_column([1, None]).is_object
-        assert classify_column([True, False]).is_object
-        assert classify_column([1, 2.0]).is_object
-        assert classify_column([1, INT_SAFE + 1]).is_object
-        assert classify_column([1.0, float("inf")]).is_object
-        assert classify_column([]).is_object
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
     def test_float_equality_tolerance_matches_value_eq(self):
         from repro.table.values import value_eq
         values = [0.3, 0.1 + 0.2, 1.0, 1.0 + 1e-12, 2.0, -0.0, 0.0, 1e12,
@@ -457,7 +486,7 @@ class TestMixedDtypeOrdering:
         for const in (0.3, 1.0, 0.0, 1e12, 2):
             q = Filter(TableRef("M"), ConstCmp(0, "==", const))
             expected = tuple((v,) for v in values if value_eq(v, const))
-            assert make_engine("numpy").evaluate(q, env).rows == expected
+            assert ColumnarEngine().evaluate(q, env).rows == expected
             assert RowEngine().evaluate(q, env).rows == expected
 
     def test_cross_class_comparisons_match(self):
@@ -468,7 +497,7 @@ class TestMixedDtypeOrdering:
                    for const in (2, "a", True, None, 2.0000001)]
         queries += [Filter(t, ColCmp(0, op, 2))
                     for op in ("==", "!=", "<", ">=")]
-        self._assert_all_backends_match(queries, env)
+        self._assert_columnar_matches_row(queries, env)
 
 
 class TestSessionEngineContracts:

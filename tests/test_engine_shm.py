@@ -15,7 +15,7 @@ import struct
 import pytest
 
 from repro.benchmarks import all_tasks, get_task
-from repro.engine import HAVE_NUMPY, make_engine, shm
+from repro.engine import make_engine, shm
 from repro.lang.ast import Env, TableRef
 from repro.lang.size import operator_count
 from repro.parallel.plan_cache import (
@@ -85,58 +85,6 @@ class TestCodecs:
         meta = shm.ColumnMeta("zstd", 0, 0, 0)
         with pytest.raises(ValueError, match="zstd"):
             shm.decode_column(meta, b"")
-
-
-class TestNdSafety:
-    """``nd_safe`` must replicate the NumPy classify rules at encode time."""
-
-    SAFE = ([1, 2, 3], [2**52, -(2**52)], [0.5, -1.25], ["a", "bc"])
-    UNSAFE = ([2**52 + 1], [-(2**52) - 1],      # beyond exact-int range
-              [0.0, -0.0], [math.nan], [math.inf],
-              ["a\x00"], ["", ""])              # NUL / zero-width strings
-
-    @pytest.mark.parametrize("column", SAFE)
-    def test_safe_columns_flagged(self, column):
-        _, meta = roundtrip(column)
-        assert meta.nd_safe
-
-    @pytest.mark.parametrize("column", UNSAFE)
-    def test_unsafe_columns_not_flagged(self, column):
-        _, meta = roundtrip(column)
-        assert not meta.nd_safe
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    @pytest.mark.parametrize("column", SAFE + UNSAFE)
-    def test_never_claims_more_than_classify_column(self, column):
-        """``nd_safe`` must imply the classify rules would type the
-        column too — never the reverse (zero-width string columns are
-        classifiable via a copy but have no valid zero-copy view, so shm
-        stays strictly more conservative)."""
-        from repro.engine.numpy_kernels import classify_column
-
-        _, meta = roundtrip(column)
-        if meta.nd_safe:
-            assert not classify_column(column).is_object
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_nd_views_alias_and_match_decoded_values(self):
-        columns = [[1, 2, 3], [0.5, 1.5, -2.5], ["aa", "b", "ccc"],
-                   [True, False, True]]
-        with shm.ShmStore() as store:
-            handle = store.publish_block(columns, 3)
-            with shm.Attachment() as attachment:
-                views = shm.nd_views(handle, attachment)
-                assert list(views[0]) == columns[0]
-                assert list(views[1]) == columns[1]
-                assert list(views[2]) == columns[2]
-                assert views[3] is None        # obj is never nd_safe
-                assert not views[0].flags.writeable
-                # Masked blocks never get views (a view of the full
-                # buffer would disagree with the selected rows).
-                masked = shm.BlockHandle(handle.segment, 3, handle.columns,
-                                         handle.nbytes, row_mask=(0, 2))
-                assert shm.nd_views(masked, attachment) == [None] * 4
-                del views
 
 
 class TestEnvRoundTrip:
@@ -210,7 +158,7 @@ class TestLifecycle:
         store.close()
 
 
-@pytest.mark.parametrize("backend", ("columnar", "numpy"))
+@pytest.mark.parametrize("backend", ("columnar",))
 def test_adopted_engine_matches_plain_engine(backend):
     """An engine evaluating through adopted shm columns must produce the
     same tables as one working from the original in-process env."""
@@ -220,18 +168,13 @@ def test_adopted_engine_matches_plain_engine(backend):
     with shm.ShmStore() as store:
         handle = store.publish_env(task.env)
         attachment = shm.Attachment()
-        env, adopted = shm.adopt_env(handle, attachment,
-                                     want_views=backend == "numpy")
+        env, adopted = shm.adopt_env(handle, attachment)
         adopted_engine = make_engine(backend)
         adopted_engine.adopt_env(env, adopted)
         plain_engine = make_engine(backend)
         for query in queries:
             assert adopted_engine.evaluate(query, env) == \
                 plain_engine.evaluate(query, task.env)
-        # Release the adopted blocks (and any zero-copy views) before
-        # detaching, as the worker does on shutdown.
-        adopted_engine.reset()
-        del env, adopted
         attachment.close()
 
 

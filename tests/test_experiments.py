@@ -1,8 +1,11 @@
 """The experiment harness: runner, figures, reports, CLI plumbing."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.benchmarks import get_task
+from repro.engine.base import EngineStats
 from repro.experiments.figures import (
     _percentile,
     fig12_curve,
@@ -108,6 +111,11 @@ class TestFigures:
         lines = csv_text.strip().splitlines()
         assert len(lines) == len(results) + 1
         assert lines[0].startswith("task,suite,difficulty")
+        # Every engine counter gets a column, straight from EngineStats.
+        header = lines[0].split(",")
+        assert header[-len(fields(EngineStats)):] == \
+            [f.name for f in fields(EngineStats)]
+        assert all(len(line.split(",")) == len(header) for line in lines)
 
 
 class TestReport:
@@ -164,49 +172,11 @@ class TestCli:
         assert csv_path.read_text().startswith("task,")
 
 
-class TestLegacyKwargsShim:
-    """run_task/run_suite still absorb the pre-session loose-kwargs API —
-    behind a DeprecationWarning, mapped onto RunConfig exactly."""
-
-    TASK = "fe01_total_sales_per_region"
-
-    def test_loose_kwargs_warn_and_map_onto_run_config(self):
-        task = get_task(self.TASK)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            loose = run_task(task, "provenance", easy_timeout_s=15,
-                             hard_timeout_s=15, max_visited=200)
-        explicit = run_task(task, "provenance",
-                            RunConfig(easy_timeout_s=15, hard_timeout_s=15,
-                                      max_visited=200))
-        assert loose.solved == explicit.solved
-        assert loose.visited == explicit.visited
-        assert loose.rank == explicit.rank
-
-    def test_every_run_config_field_is_accepted_loose(self):
-        from dataclasses import fields
-
-        from repro.experiments.runner import _coerce_run_config
-        loose = {f.name: getattr(RunConfig(), f.name)
-                 for f in fields(RunConfig)}
-        with pytest.warns(DeprecationWarning):
-            coerced = _coerce_run_config(None, loose, "run_task")
-        assert coerced == RunConfig()
-
-    def test_unknown_loose_kwarg_is_a_type_error_not_a_warning(self):
-        task = get_task(self.TASK)
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            run_task(task, "provenance", max_visted=200)  # typo'd name
-
-    def test_config_object_plus_loose_kwargs_rejected(self):
-        task = get_task(self.TASK)
-        with pytest.raises(TypeError, match="one or the other"):
-            run_task(task, "provenance", RunConfig(), max_visited=200)
-
-    def test_run_suite_shares_the_shim(self):
-        task = get_task(self.TASK)
-        with pytest.warns(DeprecationWarning, match="run_suite"):
-            results = run_suite([task], ("provenance",), easy_timeout_s=15,
-                                hard_timeout_s=15, max_visited=200)
-        assert len(results) == 1 and results[0].task == self.TASK
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            run_suite([task], ("provenance",), slice_pops=5)
+def test_loose_kwargs_are_rejected():
+    """run_task/run_suite take one config object; the pre-session loose
+    keyword arguments are gone."""
+    task = get_task("fe01_total_sales_per_region")
+    with pytest.raises(TypeError):
+        run_task(task, "provenance", max_visited=200)
+    with pytest.raises(TypeError):
+        run_suite([task], ("provenance",), max_visited=200)

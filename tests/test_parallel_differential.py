@@ -116,29 +116,22 @@ def test_process_workers_identical_to_serial(task):
 
 @pytest.mark.parametrize("task", PROCESS_TASKS,
                          ids=[t.name for t in PROCESS_TASKS])
-def test_numpy_backend_sharded_identical_to_columnar_serial(task):
-    """The backend and workers knobs compose: a numpy workers=4 run is
-    byte-identical to the columnar serial reference (per-worker engines
-    are rebuilt from ``config.backend`` inside each shard).  Without
-    NumPy this still passes — backend="numpy" falls back to columnar —
-    which is exactly the fallback contract under test.
-    """
-    from repro.engine import HAVE_NUMPY, NumpyEngine, make_engine
-
-    if HAVE_NUMPY:
-        assert isinstance(make_engine("numpy"), NumpyEngine)
+def test_row_backend_sharded_identical_to_columnar_serial(task):
+    """The backend and workers knobs compose: a row-backend workers=4 run
+    is byte-identical to the columnar serial reference (per-worker engines
+    are rebuilt from ``config.backend`` inside each shard)."""
     serial = _run(task, workers=1)
 
-    def _numpy_run(workers, executor):
+    def _row_run(workers, executor):
         config = task.config.replace(
-            backend="numpy", workers=workers, parallel_executor=executor,
+            backend="row", workers=workers, parallel_executor=executor,
             timeout_s=None, max_visited=VISITED_BUDGET)
         return Synthesizer("provenance", config).run(task.tables,
                                                      task.demonstration)
 
-    _assert_identical(serial, _numpy_run(1, "thread"))
-    _assert_identical(serial, _numpy_run(4, "thread"))
-    _assert_identical(serial, _numpy_run(4, "process"))
+    _assert_identical(serial, _row_run(1, "thread"))
+    _assert_identical(serial, _row_run(4, "thread"))
+    _assert_identical(serial, _row_run(4, "process"))
 
 
 @pytest.mark.parametrize("task", STOP_TASKS,

@@ -1,7 +1,5 @@
 """Bipartite matching, subsequence matching and grid embedding."""
 
-import pytest
-
 from repro.util.matching import (
     bipartite_match,
     embedding_exists,
@@ -93,34 +91,3 @@ class TestEmbedding:
     def test_demo_bigger_than_grid(self):
         assert not embedding_exists(3, 1, 2, 2, lambda *a: True)
         assert not embedding_exists(1, 3, 2, 2, lambda *a: True)
-
-
-class TestBitmaskFromBools:
-    def test_sequence_path(self):
-        from repro.util.matching import bitmask_from_bools
-        assert bitmask_from_bools([True, False, True, True]) == 0b1101
-        assert bitmask_from_bools([]) == 0
-        assert bitmask_from_bools([False] * 70) == 0
-
-    def test_numpy_masks_feed_bitset_core_without_list_roundtrip(self):
-        """A NumPy boolean row mask packs straight into the bitset core's
-        integer format — the selection/consistency interop contract."""
-        np = pytest.importorskip("numpy")
-        from repro.util.matching import (
-            bitmask_from_bools,
-            bitset_embedding_exists,
-            bitset_match,
-        )
-        rng_rows = [np.array([True, False, True]),
-                    np.array([False, True, False]),
-                    np.array([True] * 80),          # beyond one word
-                    np.zeros(5, dtype=bool)]
-        for bools in rng_rows:
-            assert bitmask_from_bools(bools) == \
-                bitmask_from_bools(list(bools))
-        adjacency = [bitmask_from_bools(np.array([True, True, False])),
-                     bitmask_from_bools(np.array([False, True, True]))]
-        assert bitset_match(adjacency, 3) is not None
-        options = [[(0, (bitmask_from_bools(np.array([True, False])),))],
-                   [(1, (bitmask_from_bools(np.array([False, True])),))]]
-        assert not bitset_embedding_exists(options, 1, 2)
