@@ -1,172 +1,121 @@
 """Abstract provenance consistency ``E ◁ T◦`` (Definition 3).
 
-The demonstration embeds into the abstract table when there are injective
-row and column assignments under which every demonstration cell's input-cell
-references are a subset of the assigned abstract cell's over-approximated
-provenance: ``ref(E[i,j]) ⊆ T◦[r_i, c_j]``.
+The demonstration embeds into the abstract table when injective row and
+column assignments exist under which every demonstration cell's input-cell
+references are a subset of its abstract cell's over-approximated
+provenance: ``ref(E[i,j]) ⊆ T◦[r_i, c_j]``.  By Property 2, failure proves
+that *no* instantiation of the partial query satisfies the demonstration —
+the pruning foundation.
 
-By Property 2, failure of this check proves that *no* instantiation of the
-partial query satisfies the demonstration — the pruning foundation.
+The check runs on the column-mask kernel shared with Definition 1
+(:class:`~repro.provenance.incremental.ColumnMasks`).  :class:`DemoMasks`
+is the per-(demonstration, environment) state: the demo cells' refs, heads
+and values, and the mask memo keyed by abstract column identity (each
+distinct cell of a column judged once).
 
-Value-shadow refinement (sound, ablatable)
-------------------------------------------
-For a *complete* demonstration cell (no ♦), ``e ≺ e★`` forces the two
-expressions to evaluate to the same value: constants and cell references
-match syntactically, ``group{...}`` members all share one value, and the
-complete commutative/positional rules demand argument bijections.  So when
-the abstract cell carries an exact value shadow (concrete subqueries, strong
-tiers over exact row sets) and that value differs from the demonstrated
-cell's value, the mapping is refuted.  This is what lets the analyzer reject
-a wrong aggregation *function* — which leaves provenance sets untouched —
-without enumerating its entire downstream subtree.
+Two sound, ablatable refinements sharpen the cell judgment:
+
+* *value shadow* — for a complete demo cell (no ♦), ``e ≺ e★`` forces equal
+  values, so an abstract cell with an exact shadow value that differs from
+  the demonstrated value is refuted.  This rejects a wrong aggregation
+  *function*, which leaves provenance sets untouched, without enumerating
+  its subtree;
+* *head typing* — each operator family produces one kind of term
+  (arithmetic functions only from ``arithmetic``, rank terms only from
+  ``partition``, ...) and ``e ≺ e★`` preserves the outermost function, so a
+  demo cell only embeds into a cell whose producer can build its head.
+  This stops uninstantiated upper operators from shielding wrong lower
+  parameters.
 """
 
 from __future__ import annotations
 
 from repro.abstraction.cells import AbstractTable, head_matches
+from repro.engine.base import EngineStats
 from repro.errors import ExpressionError
 from repro.lang.ast import Env
 from repro.lang.functions import function_spec
 from repro.provenance.demo import Demonstration
 from repro.provenance.expr import FuncApp
+from repro.provenance.incremental import DEFAULT_MATCH_CACHE, ColumnMasks
 from repro.provenance.refs import refs_of
-from repro.util.matching import embedding_exists
 from repro.table.values import value_eq
 
 _NO_VALUE = object()
 
 
-def _demo_values(demo: Demonstration, env: Env | None) -> list[list[object]]:
-    """Per-cell demonstrated values; ``_NO_VALUE`` where not computable."""
-    out: list[list[object]] = []
-    for row in demo.cells:
-        values: list[object] = []
-        for expr in row:
-            if env is None:
-                values.append(_NO_VALUE)
-                continue
-            try:
-                values.append(expr.evaluate(env))
-            except ExpressionError:
-                values.append(_NO_VALUE)  # partial expression (♦)
-        out.append(values)
-    return out
+def _demo_value(expr, env: Env | None) -> object:
+    """The demonstrated value of a cell; ``_NO_VALUE`` when not computable."""
+    if env is None:
+        return _NO_VALUE
+    try:
+        return expr.evaluate(env)
+    except ExpressionError:
+        return _NO_VALUE  # partial expression (♦)
 
 
-def _demo_heads(demo: Demonstration) -> list[list[str]]:
-    """Outermost term kind per demo cell ('ref' for references/constants)."""
-    out = []
-    for row in demo.cells:
-        out.append([function_spec(e.func).kind if isinstance(e, FuncApp)
-                    else "ref" for e in row])
-    return out
+def _demo_head(expr) -> str:
+    """Outermost term kind of a demo cell ('ref' for references/constants)."""
+    return function_spec(expr.func).kind if isinstance(expr, FuncApp) \
+        else "ref"
 
 
-def _demo_analysis(demo: Demonstration, env: Env | None,
-                   value_shadow: bool) -> tuple:
-    refs = [[refs_of(demo.cell(i, j)) for j in range(demo.n_cols)]
-            for i in range(demo.n_rows)]
-    values = _demo_values(demo, env) if value_shadow else None
-    heads = _demo_heads(demo)
-    return refs, values, heads
+class DemoMasks(ColumnMasks):
+    """Definition-3 state for one (demonstration, environment) pair and
+    fixed refinement flags.  It pins both objects, so holders may key
+    states by their ids."""
 
+    COUNTERS = ("def3_mask_evals", "def3_mask_hits", "def3_col_pruned")
 
-class DemoAnalysisCache:
-    """Instance-owned memo of per-cell demo analyses.
+    def __init__(self, demo: Demonstration, env: Env | None,
+                 value_shadow: bool = True, head_typing: bool = True,
+                 cache_size: int | None = DEFAULT_MATCH_CACHE) -> None:
+        super().__init__(demo.n_rows, demo.n_cols, cache_size)
+        self.demo = demo
+        self.env = env
+        self.head_typing = head_typing
+        # Per demo column j, per demo row i: (refs, head, value).
+        self.demo_columns = [
+            tuple((refs_of(expr), _demo_head(expr),
+                   _demo_value(expr, env) if value_shadow else _NO_VALUE)
+                  for expr in (row[j] for row in demo.cells))
+            for j in range(demo.n_cols)]
 
-    Demonstrations and environments are fixed across the thousands of
-    feasibility checks of one synthesis run, so their extracted
-    refs/values/heads are memoized by identity.  Each entry *pins* both
-    the demonstration and the environment it was computed against: an
-    ``id()`` can only be reused after its object is garbage-collected, so
-    pinning makes the identity keys stable for the entry's lifetime — a
-    recycled ``Env`` id can never surface another environment's cell
-    values.  (Both objects are still identity-checked on every hit as a
-    belt-and-braces guard.)
+    def _distinct(self, column):
+        return column.distinct
 
-    The cache is owned by whoever performs the consistency checks
-    (normally a :class:`~repro.abstraction.provenance_abs.ProvenanceAbstraction`
-    instance) — there is no module-global evaluation state, matching the
-    engine layer's session-isolation invariant.
-    """
+    def _candidates(self, column) -> list[int]:
+        # A demo column whose cells' refs are not all within the column's
+        # ref-union cannot embed here, whatever the rows.
+        col_refs = column.refs
+        return [j for j, demo_col in enumerate(self.demo_columns)
+                if all(refs <= col_refs for refs, _, _ in demo_col)]
 
-    def __init__(self, maxsize: int = 256) -> None:
-        self._maxsize = maxsize
-        self._entries: dict[tuple[int, int, bool], tuple] = {}
-
-    def analysis(self, demo: Demonstration, env: Env | None,
-                 value_shadow: bool) -> tuple:
-        key = (id(demo), id(env), value_shadow)
-        cached = self._entries.get(key)
-        if cached is not None and cached[0] is demo and cached[1] is env:
-            return cached[2], cached[3], cached[4]
-        refs, values, heads = _demo_analysis(demo, env, value_shadow)
-        if len(self._entries) > self._maxsize:
-            self._entries.clear()
-        self._entries[key] = (demo, env, refs, values, heads)
-        return refs, values, heads
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    def _judge(self, cell, demo_cell) -> bool:
+        demo_refs, demo_head, demo_value = demo_cell
+        if not demo_refs <= cell.refs:
+            return False
+        if self.head_typing and not head_matches(demo_head, cell.head):
+            return False
+        return not cell.known or demo_value is _NO_VALUE \
+            or value_eq(cell.value, demo_value)
 
 
 def abstract_consistent(table: AbstractTable, demo: Demonstration,
                         env: Env | None = None,
                         value_shadow: bool = True,
                         head_typing: bool = True,
-                        demo_cache: DemoAnalysisCache | None = None) -> bool:
-    """Definition 3: ``E ◁ T◦`` (+ value-shadow / head-typing refinements).
+                        masks: DemoMasks | None = None,
+                        stats: EngineStats | None = None) -> bool:
+    """Definition 3 with the value-shadow / head-typing refinements.
 
-    Head typing: under the tracking semantics each operator family produces
-    one kind of term (arithmetic functions only from ``arithmetic``, rank
-    terms only from ``partition``, ...), and ``e ≺ e★`` preserves the
-    outermost function.  A demonstration cell can therefore only embed into
-    an abstract cell whose producer can build its head kind — which stops
-    not-yet-instantiated upper operators from shielding wrong lower
-    parameters.
-
-    ``demo_cache`` memoizes the demo analysis across calls; when omitted
-    the analysis is computed fresh (the direct-API / test path).
+    ``masks`` is the memoized state for ``(demo, env)``, built with the
+    same flags; without one a fresh state is built (the direct-API and test
+    path).  Work counters go to ``stats``.
     """
-    if demo_cache is not None:
-        demo_refs, demo_vals, demo_heads = \
-            demo_cache.analysis(demo, env, value_shadow)
-    else:
-        demo_refs, demo_vals, demo_heads = \
-            _demo_analysis(demo, env, value_shadow)
-
-    # Weak / medium abstraction tiers produce many identical rows (the whole
-    # table collapses to one shape).  The embedding only needs each distinct
-    # row up to ``demo.n_rows`` times (injectivity is per-row-slot), so
-    # deduplicating with a multiplicity cap shrinks the matching problem from
-    # hundreds of rows to a handful.
-    kept_rows: list[tuple] = []
-    seen: dict[tuple, int] = {}
-    for row in table.rows:
-        key = tuple((c.refs, c.value if c.known else _NO_VALUE) for c in row)
-        count = seen.get(key, 0)
-        if count < demo.n_rows:
-            seen[key] = count + 1
-            kept_rows.append(row)
-
-    def cell_ok(i: int, j: int, r: int, c: int) -> bool:
-        cell = kept_rows[r][c]
-        if not demo_refs[i][j] <= cell.refs:
-            return False
-        if head_typing and not head_matches(demo_heads[i][j], cell.head):
-            return False
-        if demo_vals is not None and cell.known:
-            demonstrated = demo_vals[i][j]
-            if demonstrated is not _NO_VALUE \
-                    and not value_eq(cell.value, demonstrated):
-                return False
-        return True
-
-    # The embedding search materializes this relation once as row bitmasks
-    # and runs the bitset backtracking shared with the Definition-1 fast
-    # path — each (demo cell, abstract cell) pair is judged at most once.
-    return embedding_exists(demo.n_rows, demo.n_cols,
-                            len(kept_rows), table.n_cols, cell_ok)
+    if masks is None:
+        masks = DemoMasks(demo, env, value_shadow, head_typing)
+    if stats is None:
+        stats = EngineStats()
+    stats.def3_checks += 1
+    return masks.embeds(table.columns, table.n_rows, stats)

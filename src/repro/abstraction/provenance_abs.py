@@ -14,20 +14,15 @@ of input cells that can flow into that position under *any* instantiation of
   partition, and each new cell draws only from its own group's rows.
 
 Two sound refinements beyond the figure (both toggleable for ablation):
+*target-column refinement* — once the aggregation column ``c_t`` is set,
+the new column draws only from ``c_t``; *value shadows* — exact cell values
+are propagated where possible, which makes the strong tier applicable above
+partially-formed operators.  Concrete subqueries are evaluated under the
+tracking semantics and lifted, as §4 prescribes.
 
-* *target-column refinement* — once the aggregation column ``c_t`` is
-  instantiated, the new column draws only from ``c_t`` (the figure's rules
-  leave the whole ``α(c)`` parameter as one hole);
-* *value shadows* — exact cell values are propagated where possible, which
-  is what makes the strong tier applicable above partially-formed operators.
-
-Concrete subqueries are evaluated under the tracking semantics and lifted,
-exactly as §4 prescribes ("the analyzer will evaluate q using
-provenance-tracking semantics ... to achieve stronger analysis").
-
-All memoization lives in :class:`ProvenanceAnalyzer` *instances* (bounded
-caches) — there is no module-global evaluation state, so independent
-synthesis sessions never share or clobber each other's results.
+All memoization lives in :class:`ProvenanceAnalyzer` and
+:class:`ProvenanceAbstraction` *instances* — no module-global evaluation
+state, so independent synthesis sessions never share or clobber results.
 """
 
 from __future__ import annotations
@@ -42,10 +37,10 @@ from repro.abstraction.cells import (
     HEAD_REF,
     HEAD_WINDOW,
     AbstractCell,
+    AbstractColumn,
     AbstractTable,
 )
-from repro.abstraction.consistency import DemoAnalysisCache, \
-    abstract_consistent
+from repro.abstraction.consistency import DemoMasks, abstract_consistent
 from repro.engine.cache import BoundedCache
 from repro.errors import EvaluationError
 from repro.lang import ast
@@ -54,6 +49,7 @@ from repro.lang.holes import Hole, is_concrete
 from repro.provenance.demo import Demonstration
 from repro.provenance.expr import FuncApp, GroupSet
 from repro.provenance.refs import refs_of
+from repro.provenance.incremental import MAX_DEMO_STATES
 from repro.semantics.groups import extract_groups, group_index_map
 
 DEFAULT_EVAL_CACHE = 100_000
@@ -77,20 +73,17 @@ def _analytic_head(func_name: str | None) -> str:
     return function_spec(analytic_spec(func_name).term_name).kind
 
 
-def _union_refs(cells) -> frozenset:
-    out = EMPTY_REFS
-    for c in cells:
-        out |= c.refs
-    return out
+def _pool_refs(columns, pool: tuple[int, ...]) -> frozenset:
+    """Union of the ref-unions of the ``pool`` columns."""
+    return EMPTY_REFS.union(*[columns[c].refs for c in pool])
 
 
-def _join_heads(cells) -> str:
-    """Common head of a cell collection; ``any`` when they disagree."""
-    from repro.abstraction.cells import HEAD_ANY
-    heads = {c.head for c in cells}
-    if len(heads) == 1:
-        return next(iter(heads))
-    return HEAD_ANY
+def _with_column(child: AbstractTable, cells) -> AbstractTable:
+    """``child`` plus one new column (its own columns shared)."""
+    column = cells if isinstance(cells, AbstractColumn) \
+        else AbstractColumn(tuple(cells))
+    return AbstractTable(child.columns + (column,), child.n_rows,
+                         child.rows_exact)
 
 
 class ProvenanceAnalyzer:
@@ -98,7 +91,8 @@ class ProvenanceAnalyzer:
 
     Concrete subqueries are evaluated through ``engine`` (tracked tables are
     lifted to abstract cells), so the analyzer reuses the synthesis session's
-    subtree caches.
+    subtree caches.  The grouping caches key on the key and pool column
+    objects (each hashed once), never on whole tables.
     """
 
     def __init__(self, engine=None,
@@ -109,22 +103,12 @@ class ProvenanceAnalyzer:
             engine = RowEngine()
         self.engine = engine
         self._tables: BoundedCache = BoundedCache(eval_cache_size)
-        self._column_heads: BoundedCache = BoundedCache(helper_cache_size)
-        self._column_unions: BoundedCache = BoundedCache(helper_cache_size)
-        self._table_unions: BoundedCache = BoundedCache(helper_cache_size)
-        self._groupings: BoundedCache = BoundedCache(helper_cache_size)
-        self._group_key_cells: BoundedCache = BoundedCache(helper_cache_size)
-        self._group_pool_refs: BoundedCache = BoundedCache(helper_cache_size)
+        self._helpers: BoundedCache = BoundedCache(helper_cache_size)
 
     def clear(self) -> None:
         """Drop memoized abstract results (between experiment runs)."""
         self._tables.clear()
-        self._column_heads.clear()
-        self._column_unions.clear()
-        self._table_unions.clear()
-        self._groupings.clear()
-        self._group_key_cells.clear()
-        self._group_pool_refs.clear()
+        self._helpers.clear()
 
     # ---------------------------------------------------------------- entry
     def abstract_eval(self, query: ast.Query, env: ast.Env,
@@ -147,7 +131,8 @@ class ProvenanceAnalyzer:
             child = self.abstract_eval(query.child, env, refine)
             # An unknown predicate keeps at most these rows: same cells, row
             # set no longer exact.
-            return AbstractTable(child.rows, rows_exact=False)
+            return AbstractTable(child.columns, child.n_rows,
+                                 rows_exact=False)
 
         if isinstance(query, ast.Join):
             return self._abstract_join(query, env, refine, outer=False)
@@ -155,121 +140,117 @@ class ProvenanceAnalyzer:
         if isinstance(query, ast.LeftJoin):
             return self._abstract_join(query, env, refine, outer=True)
 
-        if isinstance(query, ast.Proj):
-            child = self.abstract_eval(query.child, env, refine)
-            if isinstance(query.cols, Hole):
-                return child
-            rows = tuple(tuple(row[c] for c in query.cols)
-                         for row in child.rows)
-            return AbstractTable(rows, rows_exact=child.rows_exact)
-
         if isinstance(query, ast.Sort):
             # Sorting permutes rows; the abstraction is order-insensitive, so
             # the child's abstract table is already sound.
             return self.abstract_eval(query.child, env, refine)
 
+        child = self.abstract_eval(query.child, env, refine)
+
         if isinstance(query, ast.Group):
-            return self._abstract_group(query, env, refine)
+            return self._abstract_group(query, child, refine)
+
+        if child.n_rows == 0:   # projecting or extending no rows
+            return AbstractTable((), 0, child.rows_exact)
+
+        if isinstance(query, ast.Proj):
+            if isinstance(query.cols, Hole):
+                return child
+            return AbstractTable(tuple(child.columns[c] for c in query.cols),
+                                 child.n_rows, child.rows_exact)
 
         if isinstance(query, ast.Partition):
-            return self._abstract_partition(query, env, refine)
+            return self._abstract_partition(query, child, refine)
 
         if isinstance(query, ast.Arithmetic):
-            return self._abstract_arithmetic(query, env, refine)
+            return self._abstract_arithmetic(query, child)
 
         raise EvaluationError(f"no abstract rule for {type(query).__name__}")
 
     def _lift_tracked(self, query: ast.Query, env: ast.Env) -> AbstractTable:
-        return self.lift_tracked_many((query,), env)[0]
-
-    def lift_tracked_many(self, queries, env: ast.Env) -> list[AbstractTable]:
-        """Lift a batch of concrete subqueries through the engine's batched
-        tracking evaluation (§4: concrete subqueries are evaluated under
-        the tracking semantics for stronger analysis) — one engine dispatch
-        for the whole sibling family."""
-        out = []
-        for tracked in self.engine.evaluate_tracking_many(queries, env):
-            rows = tuple(
-                tuple(AbstractCell(refs_of(expr), value, True,
-                                   _expr_head(expr))
-                      for expr, value in zip(expr_row, value_row))
-                for expr_row, value_row in zip(tracked.exprs, tracked.values))
-            out.append(AbstractTable(rows, rows_exact=True))
-        return out
+        """A concrete subquery, evaluated under the tracking semantics (§4:
+        "to achieve stronger analysis") and lifted to abstract cells."""
+        tracked = self.engine.evaluate_tracking(query, env)
+        return AbstractTable(tuple(
+            AbstractColumn(tuple(
+                AbstractCell(refs_of(expr), value, True, _expr_head(expr))
+                for expr, value in zip(exprs, values)))
+            for exprs, values in zip(zip(*tracked.exprs),
+                                     zip(*tracked.values))), tracked.n_rows)
 
     # ------------------------------------------------------- cached helpers
-    def column_heads(self, child: AbstractTable) -> tuple[str, ...]:
-        hit = self._column_heads.get(child)
+    def _memo(self, key: tuple, build):
+        """``build()``, memoized under ``key``: a tag, then column objects
+        (each hashed once) and ints, never whole tables."""
+        hit = self._helpers.get(key)
         if hit is None:
-            hit = tuple(_join_heads(child.column(j))
-                        for j in range(child.n_cols))
-            self._column_heads[child] = hit
+            hit = self._helpers[key] = build()
         return hit
 
-    def column_unions(self, child: AbstractTable) -> tuple[frozenset, ...]:
-        hit = self._column_unions.get(child)
-        if hit is None:
-            hit = tuple(_union_refs(child.column(j))
-                        for j in range(child.n_cols))
-            self._column_unions[child] = hit
-        return hit
+    def repeat(self, refs: frozenset, head: str, n: int) -> AbstractColumn:
+        """The column of ``n`` unknown cells with these refs and head,
+        interned: weak and medium rows over equal child columns share one
+        column object, so Definition 3 judges it once."""
+        return self._memo(("repeat", refs, head, n), lambda: (
+            AbstractColumn.repeat(AbstractCell.unknown(refs, head), n)))
 
-    def table_union(self, child: AbstractTable) -> frozenset:
-        hit = self._table_unions.get(child)
-        if hit is None:
-            hit = _union_refs(c for row in child.rows for c in row)
-            self._table_unions[child] = hit
-        return hit
+    def row_unions(self, child: AbstractTable) -> AbstractColumn:
+        """The weak arithmetic column: per row, an unknown cell over the
+        row's refs.  Rows of the same cell objects share one new cell."""
+        def build():
+            made: dict[tuple[int, ...], AbstractCell] = {}
+            columns = [c.cells for c in child.columns]
+            for row in zip(*columns) if columns else [()] * child.n_rows:
+                ids = tuple(map(id, row))
+                if ids not in made:
+                    made[ids] = AbstractCell.unknown(
+                        EMPTY_REFS.union(*[c.refs for c in row]),
+                        HEAD_ARITHMETIC)
+                yield made[ids]
+        return self._memo(("rows", child.n_rows, child.columns),
+                          lambda: AbstractColumn(tuple(build())))
 
     def grouping(self, child: AbstractTable,
                  keys: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """``extractGroups`` over concrete key shadows, cached per
-        (child, keys).
+        """``extractGroups`` over concrete key shadows, cached per key
+        columns.
 
         Every (agg_col, agg_func) sibling in the search shares this grouping
         — caching it is the difference between linear and quadratic
         enumeration cost around grouping operators.
         """
-        key = (child, keys)
-        hit = self._groupings.get(key)
-        if hit is None:
-            key_rows = [[row[k].value for k in keys] for row in child.rows]
-            hit = tuple(tuple(g) for g in extract_groups(key_rows))
-            self._groupings[key] = hit
-        return hit
+        columns = tuple(child.columns[k] for k in keys)
+        return self._memo(("grouping", child.n_rows, columns), lambda: tuple(
+            tuple(g) for g in extract_groups(
+                [[c.cells[i].value for c in columns]
+                 for i in range(child.n_rows)])))
 
-    def group_key_cells(self, child: AbstractTable, keys: tuple[int, ...]
-                        ) -> tuple[tuple[AbstractCell, ...], ...]:
-        key = (child, keys)
-        hit = self._group_key_cells.get(key)
-        if hit is None:
+    def group_key_columns(self, child: AbstractTable, keys: tuple[int, ...]
+                          ) -> tuple[AbstractColumn, ...]:
+        """The strong group's key columns, shared by every aggregation
+        sibling over the same key columns."""
+        columns = tuple(child.columns[k] for k in keys)
+
+        def build():
             groups = self.grouping(child, keys)
-            heads = self.column_heads(child)
-            hit = tuple(
-                tuple(AbstractCell(_union_refs(child.rows[i][k] for i in g),
-                                   child.rows[g[0]][k].value, True, heads[k])
-                      for k in keys)
-                for g in groups)
-            self._group_key_cells[key] = hit
-        return hit
+            return tuple(AbstractColumn(tuple(
+                AbstractCell(EMPTY_REFS.union(*[col.cells[i].refs
+                                                for i in g]),
+                             col.cells[g[0]].value, True, col.head)
+                for g in groups)) for col in columns)
+        return self._memo(("key_columns", child.n_rows, columns), build)
 
     def group_pool_refs(self, child: AbstractTable, keys: tuple[int, ...],
                         agg_pool: tuple[int, ...]) -> tuple[frozenset, ...]:
         """Per-group union of refs over the aggregation candidate columns."""
-        key = (child, keys, agg_pool)
-        hit = self._group_pool_refs.get(key)
-        if hit is None:
-            groups = self.grouping(child, keys)
-            out = []
-            for g in groups:
-                refs = EMPTY_REFS
-                for i in g:
-                    for c in agg_pool:
-                        refs |= child.rows[i][c].refs
-                out.append(refs)
-            hit = tuple(out)
-            self._group_pool_refs[key] = hit
-        return hit
+        columns = tuple(child.columns[c] for c in keys + agg_pool)
+
+        def build():
+            pool = columns[len(keys):]
+            return tuple(EMPTY_REFS.union(*[col.cells[i].refs for i in g
+                                            for col in pool])
+                         for g in self.grouping(child, keys))
+        return self._memo(("pool", child.n_rows, len(keys), columns), build)
 
     # ------------------------------------------------------- operator rules
     def _abstract_join(self, query, env: ast.Env, refine: bool,
@@ -277,29 +258,35 @@ class ProvenanceAnalyzer:
         left = self.abstract_eval(query.left, env, refine)
         right = self.abstract_eval(query.right, env, refine)
         pred = query.pred
-        pred_known = not isinstance(pred, Hole)
-        rows = []
-        for lrow in left.rows:
-            for rrow in right.rows:
-                if pred_known and pred is not None and not outer:
+        check = not isinstance(pred, Hole) and pred is not None and not outer
+        pairs = []
+        right_rows = [right.row(i) for i in range(right.n_rows)]
+        for li in range(left.n_rows):
+            lrow = left.row(li)
+            for ri, rrow in enumerate(right_rows):
+                if check and all(c.known for c in lrow + rrow):
                     # Concrete inner-join predicate over known values:
                     # apply it.
-                    if all(c.known for c in lrow + rrow):
-                        if not pred.evaluate([c.value for c in lrow + rrow]):
-                            continue
-                rows.append(lrow + rrow)
-        if outer:
-            pad = tuple(AbstractCell(EMPTY_REFS, None, True, HEAD_REF)
-                        for _ in range(right.n_cols))
-            rows.extend(lrow + pad for lrow in left.rows)
+                    if not pred.evaluate([c.value for c in lrow + rrow]):
+                        continue
+                pairs.append((li, ri))
+        # An outer join also keeps every left row, padded on the right.
+        kept = [li for li, _ in pairs] + \
+            (list(range(left.n_rows)) if outer else [])
+        columns = [AbstractColumn(tuple(col.cells[li] for li in kept))
+                   for col in left.columns]
+        pad = AbstractCell(EMPTY_REFS, None, True, HEAD_REF)
+        for col in right.columns:
+            columns.append(AbstractColumn(
+                tuple(col.cells[ri] for _, ri in pairs)
+                + (pad,) * (len(kept) - len(pairs))))
         exact = False  # the surviving row set depends on the predicate
         if pred is None and not outer:
             exact = left.rows_exact and right.rows_exact
-        return AbstractTable(tuple(rows), rows_exact=exact)
+        return AbstractTable(tuple(columns), len(kept), rows_exact=exact)
 
-    def _abstract_group(self, query: ast.Group, env: ast.Env,
+    def _abstract_group(self, query: ast.Group, child: AbstractTable,
                         refine: bool) -> AbstractTable:
-        child = self.abstract_eval(query.child, env, refine)
         n, m = child.n_rows, child.n_cols
         agg_col = None if isinstance(query.agg_col, Hole) else query.agg_col
         agg_func = None if isinstance(query.agg_func, Hole) else query.agg_func
@@ -308,14 +295,15 @@ class ProvenanceAnalyzer:
             # Weak: grouping unknown — every original column is a candidate
             # key whose cells may collapse any subset of rows; the new column
             # may draw from anywhere.
-            col_unions = self.column_unions(child)
-            heads = self.column_heads(child)
-            everything = self.table_union(child)
-            row = tuple(AbstractCell.unknown(u, h)
-                        for u, h in zip(col_unions, heads)) \
-                + (AbstractCell.unknown(everything, HEAD_AGGREGATE),)
-            return AbstractTable(tuple(row for _ in range(max(n, 1))),
-                                 rows_exact=False)
+            n_out = max(n, 1)
+            columns = tuple(self.repeat(col.refs, col.head, n_out)
+                            for col in child.columns)
+            return AbstractTable(columns + (self.repeat(
+                child.all_refs(), HEAD_AGGREGATE, n_out),), n_out,
+                rows_exact=False)
+
+        if n == 0:   # no rows, no groups
+            return AbstractTable((), 0, child.rows_exact)
 
         keys = query.keys
         agg_pool = (agg_col,) if (refine and agg_col is not None) \
@@ -323,30 +311,24 @@ class ProvenanceAnalyzer:
 
         if not child.column_known(keys):
             # Medium: keys known, key values not yet concrete.
-            col_unions = self.column_unions(child)
-            heads = self.column_heads(child)
-            key_cells = tuple(AbstractCell.unknown(col_unions[k], heads[k])
-                              for k in keys)
-            new_refs = EMPTY_REFS
-            for c in agg_pool:
-                new_refs |= col_unions[c]
-            row = key_cells + (AbstractCell.unknown(new_refs, HEAD_AGGREGATE),)
-            return AbstractTable(tuple(row for _ in range(max(n, 1))),
-                                 rows_exact=False)
+            columns = tuple(self.repeat(child.columns[k].refs,
+                                        child.columns[k].head, n)
+                            for k in keys)
+            return AbstractTable(columns + (self.repeat(
+                _pool_refs(child.columns, agg_pool), HEAD_AGGREGATE, n),), n,
+                rows_exact=False)
 
         # Strong: extractGroups over the concrete key values.
         groups = self.grouping(child, keys)
-        key_cell_rows = self.group_key_cells(child, keys)
         pool_refs = self.group_pool_refs(child, keys, agg_pool)
-        out_rows = []
-        for g, key_cells, new_refs in zip(groups, key_cell_rows, pool_refs):
-            new_cell = _aggregate_shadow(child, g, agg_col, agg_func, new_refs)
-            out_rows.append(key_cells + (new_cell,))
-        return AbstractTable(tuple(out_rows), rows_exact=child.rows_exact)
+        new_cells = tuple(_shadow(child, g, agg_col, agg_func, refs)
+                          for g, refs in zip(groups, pool_refs))
+        return AbstractTable(self.group_key_columns(child, keys)
+                             + (AbstractColumn(new_cells),),
+                             len(groups), rows_exact=child.rows_exact)
 
-    def _abstract_partition(self, query: ast.Partition, env: ast.Env,
+    def _abstract_partition(self, query: ast.Partition, child: AbstractTable,
                             refine: bool) -> AbstractTable:
-        child = self.abstract_eval(query.child, env, refine)
         n, m = child.n_rows, child.n_cols
         agg_col = None if isinstance(query.agg_col, Hole) else query.agg_col
         agg_func = None if isinstance(query.agg_func, Hole) else query.agg_func
@@ -355,10 +337,8 @@ class ProvenanceAnalyzer:
 
         if isinstance(query.keys, Hole):
             # Weak: any row may share a partition with any other.
-            everything = self.table_union(child)
-            rows = tuple(row + (AbstractCell.unknown(everything, new_head),)
-                         for row in child.rows)
-            return AbstractTable(rows, rows_exact=child.rows_exact)
+            return _with_column(child, self.repeat(child.all_refs(),
+                                                   new_head, n))
 
         keys = query.keys
         agg_pool = (agg_col,) if (refine and agg_col is not None) \
@@ -366,84 +346,62 @@ class ProvenanceAnalyzer:
 
         if not child.column_known(keys):
             # Medium: keys known, partition membership unknown.
-            col_unions = self.column_unions(child)
-            new_refs = EMPTY_REFS
-            for c in agg_pool:
-                new_refs |= col_unions[c]
-            rows = tuple(row + (AbstractCell.unknown(new_refs, new_head),)
-                         for row in child.rows)
-            return AbstractTable(rows, rows_exact=child.rows_exact)
+            return _with_column(child, self.repeat(
+                _pool_refs(child.columns, agg_pool), new_head, n))
 
         # Strong: partition membership is determined by the concrete key
         # values.
         groups = self.grouping(child, keys)
         pool_refs = self.group_pool_refs(child, keys, agg_pool)
         row_group = group_index_map(groups)
-        rows = []
-        for i, row in enumerate(child.rows):
-            gi = row_group[i]
-            new_cell = _partition_shadow(child, groups[gi], i, agg_col,
-                                         agg_func, pool_refs[gi])
-            rows.append(row + (new_cell,))
-        return AbstractTable(tuple(rows), rows_exact=child.rows_exact)
+        return _with_column(child, (
+            _shadow(child, groups[row_group[i]], agg_col, agg_func,
+                    pool_refs[row_group[i]], i)
+            for i in range(n)))
 
-    def _abstract_arithmetic(self, query: ast.Arithmetic, env: ast.Env,
-                             refine: bool) -> AbstractTable:
-        child = self.abstract_eval(query.child, env, refine)
+    def _abstract_arithmetic(self, query: ast.Arithmetic,
+                             child: AbstractTable) -> AbstractTable:
         func = None if isinstance(query.func, Hole) else query.func
 
         if isinstance(query.cols, Hole):
             # Weak: the new value may use any cell of its own row.
-            rows = tuple(
-                row + (AbstractCell.unknown(_union_refs(row),
-                                            HEAD_ARITHMETIC),)
-                for row in child.rows)
-            return AbstractTable(rows, rows_exact=child.rows_exact)
+            return _with_column(child, self.row_unions(child))
 
-        cols = query.cols
-        rows = []
-        for row in child.rows:
-            refs = _union_refs(row[c] for c in cols)
-            if func is not None and all(row[c].known for c in cols):
-                value = apply_function(func, [row[c].value for c in cols])
-                rows.append(row + (AbstractCell(refs, value, True,
-                                                HEAD_ARITHMETIC),))
+        cells = []
+        for i in range(child.n_rows):
+            row = [child.columns[c].cells[i] for c in query.cols]
+            refs = EMPTY_REFS.union(*[c.refs for c in row])
+            if func is not None and all(c.known for c in row):
+                value = apply_function(func, [c.value for c in row])
+                cells.append(AbstractCell(refs, value, True, HEAD_ARITHMETIC))
             else:
-                rows.append(row + (AbstractCell.unknown(refs,
-                                                        HEAD_ARITHMETIC),))
-        return AbstractTable(tuple(rows), rows_exact=child.rows_exact)
+                cells.append(AbstractCell.unknown(refs, HEAD_ARITHMETIC))
+        return _with_column(child, cells)
 
 
-def _aggregate_shadow(child: AbstractTable, group_rows,
-                      agg_col: int | None, agg_func: str | None,
-                      refs: frozenset) -> AbstractCell:
-    """Compute the aggregate's exact value when everything needed is known."""
+def _shadow(child: AbstractTable, group_rows, agg_col: int | None,
+            agg_func: str | None, refs: frozenset,
+            row: int | None = None) -> AbstractCell:
+    """The new cell of a group (``row`` None) or of partition row ``row``,
+    with its exact value when everything needed is known."""
+    head = HEAD_AGGREGATE if row is None else _analytic_head(agg_func)
+    unknown = AbstractCell.unknown(refs, head)
     if agg_col is None or agg_func is None or not child.rows_exact:
-        return AbstractCell.unknown(refs, HEAD_AGGREGATE)
-    member_cells = [child.rows[i][agg_col] for i in group_rows]
-    if not all(c.known for c in member_cells):
-        return AbstractCell.unknown(refs, HEAD_AGGREGATE)
-    value = apply_function(agg_func, [c.value for c in member_cells])
-    return AbstractCell(refs, value, True, HEAD_AGGREGATE)
-
-
-def _partition_shadow(child: AbstractTable, group_rows, row: int,
-                      agg_col: int | None, agg_func: str | None,
-                      refs: frozenset) -> AbstractCell:
-    head = _analytic_head(agg_func)
-    if agg_col is None or agg_func is None or not child.rows_exact:
-        return AbstractCell.unknown(refs, head)
-    spec = analytic_spec(agg_func)
-    if spec.order_dependent:
+        return unknown
+    spec = None if row is None else analytic_spec(agg_func)
+    if spec is not None and spec.order_dependent:
         # Row order below may differ from the eventual concrete order
         # (uninstantiated sorts pass through unchanged), so prefix-based
         # functions get no shadow value.
-        return AbstractCell.unknown(refs, head)
-    member_cells = [child.rows[i][agg_col] for i in group_rows]
-    if not all(c.known for c in member_cells):
-        return AbstractCell.unknown(refs, head)
-    args = spec.row_args([c.value for c in member_cells], group_rows.index(row))
-    return AbstractCell(refs, apply_function(spec.term_name, args), True, head)
+        return unknown
+    column = child.columns[agg_col].cells
+    if not all(column[i].known for i in group_rows):
+        return unknown
+    values = [column[i].value for i in group_rows]
+    value = apply_function(agg_func, values) if spec is None else \
+        apply_function(spec.term_name,
+                       spec.row_args(values, group_rows.index(row)))
+    return AbstractCell(refs, value, True, head)
 
 
 def abstract_eval(query: ast.Query, env: ast.Env,
@@ -474,18 +432,13 @@ class ProvenanceAbstraction(Abstraction):
         self.value_shadow = value_shadow
         self.head_typing = head_typing
         self._analyzer: ProvenanceAnalyzer | None = None
-        # One analyzer per engine ever bound: a transient rebind (per-run
-        # backend override) must not discard the session's memoization.
-        # Explicit retention policy: the *first-bound* (session) analyzer
-        # is pinned for the abstraction's lifetime; override analyzers are
-        # kept in an LRU order (most recently re-bound last) and the least
-        # recently used override is evicted past MAX_ANALYZERS.
+        # One analyzer per bound engine, so a per-run backend override
+        # keeps the session's memoization: the first-bound (session)
+        # analyzer is pinned; overrides are LRU-evicted past MAX_ANALYZERS.
         self._analyzers: OrderedDict[int, ProvenanceAnalyzer] = OrderedDict()
         self._session_key: int | None = None
-        # Demo analyses are memoized per instance (Definition 3 checks the
-        # same demonstration thousands of times per run) — no module-global
-        # evaluation state anywhere in the stack.
-        self._demo_cache = DemoAnalysisCache()
+        # Definition-3 state per (demo, env), shared by every analyzer.
+        self._masks: dict[tuple[int, int], DemoMasks] = {}
 
     def bind_engine(self, engine) -> None:
         super().bind_engine(engine)
@@ -495,9 +448,7 @@ class ProvenanceAbstraction(Abstraction):
             # Rebind of a retained engine: refresh its LRU recency.
             self._analyzers.move_to_end(key)
         else:
-            # New engine — or a stale entry whose engine was collected and
-            # its id recycled (the identity check above catches it); the
-            # fresh analyzer replaces the stale one under the same key.
+            # New engine, or a stale entry under a recycled id: replace it.
             analyzer = ProvenanceAnalyzer(engine)
             self._analyzers[key] = analyzer
             self._analyzers.move_to_end(key)
@@ -516,17 +467,32 @@ class ProvenanceAbstraction(Abstraction):
             self.bind_engine(self._engine())
         return self._analyzer
 
+    def masks(self, demo: Demonstration, env: ast.Env) -> DemoMasks:
+        """The Definition-3 state for ``(demo, env)`` (pinning both, so
+        their ids stay unique); past ``MAX_DEMO_STATES`` all are dropped."""
+        key = (id(demo), id(env))
+        state = self._masks.get(key)
+        if state is not None and state.demo is demo and state.env is env:
+            return state
+        if len(self._masks) >= MAX_DEMO_STATES:
+            self._masks.clear()
+        state = DemoMasks(demo, env, self.value_shadow, self.head_typing)
+        self._masks[key] = state
+        return state
+
     def feasible(self, query: ast.Query, env: ast.Env,
                  demo: Demonstration) -> bool:
         # Partial queries face Definition 3 here; once fully instantiated
-        # they instead face Definition 1 through the engine-owned
-        # incremental checker (``engine.consistency``) — the two layers
-        # share the bitset embedding core in :mod:`repro.util.matching`.
-        table = self.analyzer.abstract_eval(query, env, self.target_refinement)
+        # they face Definition 1 in the engine-owned checker
+        # (``engine.consistency``).  Both run the column-mask kernel of
+        # :class:`~repro.provenance.incremental.ColumnMasks`.
+        analyzer = self.analyzer
+        table = analyzer.abstract_eval(query, env, self.target_refinement)
         return abstract_consistent(table, demo, env,
                                    value_shadow=self.value_shadow,
                                    head_typing=self.head_typing,
-                                   demo_cache=self._demo_cache)
+                                   masks=self.masks(demo, env),
+                                   stats=analyzer.engine.stats)
 
     def reset(self) -> None:
         super().reset()
@@ -534,4 +500,4 @@ class ProvenanceAbstraction(Abstraction):
             analyzer.clear()
         if self._analyzer is not None:
             self._analyzer.clear()
-        self._demo_cache.clear()
+        self._masks.clear()

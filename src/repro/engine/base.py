@@ -49,7 +49,11 @@ class EngineStats:
     incremental Definition-1 checker (``engine.consistency``): verdicts
     computed vs served from cache, candidates rejected at the column stage
     before any row embedding, and per-(column, demonstration) match
-    matrices computed vs served from the memo.
+    matrices computed vs served from the memo.  The ``def3_*`` counters are
+    their Definition-3 counterparts, kept apart so each layer's rates keep
+    their meaning: abstract verdicts computed, verdicts decided at the
+    column stage, and per-(abstract column, demonstration) masks computed
+    vs served from the memo.
     """
 
     concrete_evals: int = 0     # evaluate() calls that missed the cache
@@ -61,6 +65,10 @@ class EngineStats:
     consistency_col_pruned: int = 0  # verdicts decided at the column stage
     col_match_evals: int = 0    # (column, demo) match matrices computed
     col_match_hits: int = 0     # match matrices served from the memo
+    def3_checks: int = 0        # Definition-3 verdicts computed
+    def3_col_pruned: int = 0    # Definition-3 verdicts decided by columns
+    def3_mask_evals: int = 0    # (abstract column, demo) masks computed
+    def3_mask_hits: int = 0     # abstract column masks served from the memo
     shm_segments: int = 0           # shared-memory segments published
     shm_bytes_shipped: int = 0      # payload bytes laid out in those segments
     cross_shard_hits: int = 0   # sub-plan blocks served from a sibling shard

@@ -96,13 +96,27 @@ class ColCmp(Predicate):
         return f"c{self.left} {self.op} c{self.right}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstCmp(Predicate):
-    """``row[col] op const`` — comparison against a user-provided constant."""
+    """``row[col] op const`` — comparison against a user-provided constant.
+
+    Equality and hashing include the constant's type: ``True`` and ``1``
+    hash alike, yet ``value_eq(True, 1)`` is false, so query-keyed caches
+    must tell the two predicates apart.
+    """
 
     col: int
     op: str
     const: Value
+
+    def _key(self) -> tuple:
+        return (self.col, self.op, self.const.__class__, self.const)
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is ConstCmp and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def evaluate(self, row: Sequence[Value]) -> bool:
         return _compare(self.op, row[self.col], self.const)

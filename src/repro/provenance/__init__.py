@@ -11,10 +11,10 @@ Two term languages share one representation:
 
 :mod:`repro.provenance.consistency` implements the ≺ judgment (Fig. 10) and
 the table-level provenance consistency of Definition 1 (the reference
-oracle); :mod:`repro.provenance.incremental` is the engine-owned
-incremental checker the synthesis hot path runs — match matrices memoized
-per (tracked column, demonstration) across sibling candidates, bitset
-embedding, batched verdicts.
+oracle); :mod:`repro.provenance.incremental` holds the column-mask kernel
+that Definitions 1 and 3 share and the engine-owned incremental checker the
+synthesis hot path runs — masks memoized per (column, demonstration) across
+sibling candidates, bitset embedding, batched verdicts.
 """
 
 from repro.provenance.expr import (

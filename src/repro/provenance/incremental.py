@@ -1,48 +1,26 @@
-"""Incremental demonstration-consistency checking (Definition 1, Fig. 10).
+"""Incremental consistency checking, and the kernel both definitions share.
 
-The naive judgment re-simplifies and re-matches the whole demonstration
-grid against every candidate's tracked output, even though sibling
-candidates of one instantiation family share all but one output column.
-:class:`ConsistencyChecker` is the engine-owned incremental replacement
-(PATSQL's lever — quick incremental inference of projected columns against
-the example table — applied to provenance terms):
+:class:`ColumnMasks` is the column-mask embedding kernel of Definition 1
+(``E ≺ [[q(T̄)]]★``) and Definition 3 (``E ◁ T◦``, in
+:mod:`repro.abstraction.consistency`).  Per (column, demonstration) it
+computes a *mask matrix* — per demo column and demo row, the bitmask of the
+rows whose cell can realize that demo cell — judging each distinct cell of
+the column once.  Matrices are memoized by column object identity: sibling
+candidates share all but one column by reference, so a sibling costs one new
+matrix.  A candidate is then refuted at the column stage when some demo
+column has no compatible column or no injective column assignment exists,
+and only survivors run the bitset row search of
+:func:`repro.util.matching.bitset_embedding_exists`.  The two definitions
+differ only in the cell judgment.
 
-* **Match-matrix memo.**  For each (tracked column, demonstration) pair the
-  checker computes one *match matrix*: per demonstration column, a bitmask
-  over output rows for every demo row ``i`` — bit ``r`` set iff
-  ``E[i,j] ≺ T★[r,c]``.  Matrices are keyed by column object identity (the
-  structural key the columnar kernels already maintain: sibling candidates
-  share columns by reference, see :mod:`repro.engine.tracked_columns`), so
-  checking a sibling that shares k−1 columns only matches the one new
-  column.  Within a column, identity-distinct terms are judged once and
-  broadcast over their row bitmask.
-
-* **Column-level pruning.**  A candidate whose columns cannot cover the
-  demonstration — some demo column has no compatible output column, or no
-  injective column assignment exists — is rejected before any row
-  embedding runs (``consistency_col_pruned`` in the engine stats).
-
-* **Bitset embedding.**  Surviving candidates run the backtracking search
-  of :func:`repro.util.matching.bitset_embedding_exists`: column
-  assignments AND row bitmasks incrementally and close with a bitset row
-  matching — no per-call ``(i, j, r, c)`` memo dict, no recursive
-  callback evaluation.
-
-* **One batched pipeline.**  :meth:`demo_consistent_many` threads a whole
-  sibling family through the engine's batched tracking evaluation
-  (``tracked_columns_many``) and verdict computation in one call; the
-  enumerator's sibling-family prefetch uses it so each subsequent pop is a
-  verdict-cache hit.
-
-Both grids are matched in *pre-simplified* form: the tracking engines only
-emit simplified terms (PR-3 invariant, idempotent ``simplify``), and demo
-cells are simplified once per demonstration when its state is built — not
-once per check.
-
-Ownership mirrors the engine layer's session-isolation invariant: each
-:class:`~repro.engine.base.EvalEngine` lazily owns one checker
-(``engine.consistency``), parallel workers therefore get per-worker
-checker instances, and the counters ride in the engine's mergeable
+:class:`ConsistencyChecker` is the engine-owned Definition-1 checker
+(PATSQL's quick inference of projected columns against the example,
+applied to provenance terms).  :meth:`~ConsistencyChecker.demo_consistent_many`
+threads a sibling family through the engine's batched tracking evaluation
+and memoizes verdicts; terms are matched in pre-simplified form (tracking
+engines emit simplified terms, demo cells are simplified once per state).
+Each engine lazily owns one checker (``engine.consistency``), so parallel
+workers get their own, and the counters ride in the engine's mergeable
 :class:`~repro.engine.base.EngineStats`.
 """
 
@@ -61,61 +39,102 @@ from repro.util.matching import MaskOption, bitset_embedding_exists, bitset_matc
 DEFAULT_VERDICT_CACHE = 100_000
 DEFAULT_MATCH_CACHE = 50_000
 
-#: Retained per-demonstration states.  A synthesis session checks one
-#: demonstration thousands of times; a handful of states covers direct-API
-#: interleavings, and past the cap everything (including verdicts, whose
-#: keys pin demo identities through the states) is dropped together.
+#: Retained per-demonstration states; past the cap every state (and every
+#: verdict keyed through their pinned demo identities) is dropped together.
 MAX_DEMO_STATES = 8
 
 
-class _DemoState:
-    """Per-demonstration match state, pinned by demonstration identity."""
+class ColumnMasks:
+    """The shared kernel for one demonstration (see the module docstring).
 
-    __slots__ = ("demo", "demo_columns", "n_rows", "n_cols", "matches")
+    A mask matrix holds, per demo column, one row bitmask per demo row, or
+    ``None`` when some demo row has no matching cell.  Subclasses supply
+    ``demo_columns``, the cell judgment :meth:`_judge` and the column's
+    distinct cells with row bitmasks :meth:`_distinct`.  ``COUNTERS`` names
+    the :class:`~repro.engine.base.EngineStats` fields for a computed mask,
+    a memoized mask and a verdict decided at the column stage.
+    """
 
-    def __init__(self, demo: Demonstration,
+    COUNTERS = ("col_match_evals", "col_match_hits", "consistency_col_pruned")
+    demo_columns: list[tuple]
+
+    def __init__(self, n_rows: int, n_cols: int,
                  match_cache_size: int | None) -> None:
-        self.demo = demo
-        # Simplified once per demonstration (Demonstration.of already
-        # simplifies on construction; idempotence makes this a no-op walk
-        # then) and stored column-major for the mask loops.
-        cells = [[simplify(e) for e in row] for row in demo.cells]
-        self.demo_columns = [tuple(row[j] for row in cells)
-                             for j in range(demo.n_cols)]
-        self.n_rows = demo.n_rows
-        self.n_cols = demo.n_cols
-        # id(column) -> (column, match matrix).  The entry pins the column
-        # object alive, so its id cannot be recycled while the entry
-        # exists; identity is re-checked on every hit regardless.
+        self.n_rows = n_rows
+        self.n_cols = n_cols
+        # id(column) -> (column, mask matrix); the entry pins the column,
+        # so its id cannot be recycled while the entry exists.
         self.matches: BoundedCache = BoundedCache(match_cache_size)
 
-    def column_masks(self, column, stats) -> tuple[tuple[int, ...] | None, ...]:
-        """The column's match matrix against this demonstration.
+    def _candidates(self, column) -> list[int]:
+        """Demo columns the column may realize, before any cell is judged."""
+        return list(range(self.n_cols))
 
-        One entry per demo column ``j``: a tuple of per-demo-row bitmasks
-        over the candidate's output rows, or ``None`` when some demo row
-        has no matching output row in this column (the column cannot
-        realize demo column ``j`` at all).
-        """
+    def _compute_masks(self, column) -> tuple[tuple[int, ...] | None, ...]:
+        grids = {j: [0] * self.n_rows for j in self._candidates(column)}
+        if grids:
+            for item, row_bits in self._distinct(column):
+                for j, grid in grids.items():
+                    for i, demo_cell in enumerate(self.demo_columns[j]):
+                        if self._judge(item, demo_cell):
+                            grid[i] |= row_bits
+        return tuple(None if j not in grids or 0 in grids[j]
+                     else tuple(grids[j]) for j in range(self.n_cols))
+
+    def _bump(self, stats, which: int) -> None:
+        name = self.COUNTERS[which]
+        setattr(stats, name, getattr(stats, name) + 1)
+
+    def column_masks(self, column, stats) -> tuple[tuple[int, ...] | None, ...]:
+        """The column's mask matrix against this demonstration."""
         key = id(column)
         entry = self.matches.get(key)
         if entry is not None and entry[0] is column:
-            stats.col_match_hits += 1
+            self._bump(stats, 1)
             return entry[1]
-        stats.col_match_evals += 1
+        self._bump(stats, 0)
         matrix = self._compute_masks(column)
         self.matches[key] = (column, matrix)
         return matrix
 
-    def _compute_masks(self, column) -> tuple[tuple[int, ...] | None, ...]:
-        grids = [[0] * self.n_rows for _ in range(self.n_cols)]
-        for expr, row_bits in distinct_exprs(column):
-            for j, demo_col in enumerate(self.demo_columns):
-                grid = grids[j]
-                for i, demo_cell in enumerate(demo_col):
-                    if generalizes_simplified(expr, demo_cell):
-                        grid[i] |= row_bits
-        return tuple(None if 0 in grid else tuple(grid) for grid in grids)
+    def embeds(self, columns, n_rows: int, stats) -> bool:
+        """Does the demonstration embed into these columns of ``n_rows``
+        rows?  The column stage runs first, then the row search."""
+        n_cols = len(columns)
+        if self.n_rows > n_rows or self.n_cols > n_cols:
+            self._bump(stats, 2)
+            return False
+        matrices = [self.column_masks(col, stats) for col in columns]
+        options: list[list[MaskOption]] = []
+        col_adj: list[int] = []
+        for j in range(self.n_cols):
+            opts = [(c, matrices[c][j]) for c in range(n_cols)
+                    if matrices[c][j] is not None]
+            if not opts:
+                self._bump(stats, 2)
+                return False
+            options.append(opts)
+            col_adj.append(sum(1 << c for c, _ in opts))
+        if bitset_match(col_adj, n_cols) is None:
+            self._bump(stats, 2)
+            return False
+        return bitset_embedding_exists(options, self.n_rows, n_rows)
+
+
+class _DemoState(ColumnMasks):
+    """Definition-1 masks for one demonstration, pinned by identity."""
+
+    _distinct = staticmethod(distinct_exprs)
+    _judge = staticmethod(generalizes_simplified)
+
+    def __init__(self, demo: Demonstration,
+                 match_cache_size: int | None) -> None:
+        super().__init__(demo.n_rows, demo.n_cols, match_cache_size)
+        self.demo = demo
+        # Simplified once (a no-op walk for Demonstration.of), by column.
+        cells = [[simplify(e) for e in row] for row in demo.cells]
+        self.demo_columns = [tuple(row[j] for row in cells)
+                             for j in range(demo.n_cols)]
 
 
 class ConsistencyChecker:
@@ -194,33 +213,9 @@ class ConsistencyChecker:
             [queries[idx] for idx in missing], env, errors="none")
         for idx, columns in zip(missing, grids):
             stats.consistency_checks += 1
-            verdict = columns is not None and self._check(columns, state,
-                                                          stats)
+            verdict = columns is not None and state.embeds(
+                columns, len(columns[0]) if columns else 0, stats)
             # Wrapped so a cached False is distinguishable from a miss.
             verdicts[(queries[idx], env, demo_key)] = (verdict,)
             out[idx] = verdict
         return out
-
-    def _check(self, columns, state: _DemoState, stats) -> bool:
-        n_cols = len(columns)
-        n_rows = len(columns[0]) if n_cols else 0
-        if state.n_rows > n_rows or state.n_cols > n_cols:
-            stats.consistency_col_pruned += 1
-            return False
-        matrices = [state.column_masks(col, stats) for col in columns]
-        options: list[list[MaskOption]] = []
-        col_adj: list[int] = []
-        for j in range(state.n_cols):
-            opts = [(c, matrices[c][j]) for c in range(n_cols)
-                    if matrices[c][j] is not None]
-            if not opts:
-                stats.consistency_col_pruned += 1
-                return False
-            options.append(opts)
-            col_adj.append(sum(1 << c for c, _ in opts))
-        # Injective column-assignment feasibility: refuted candidates never
-        # reach a row search (the column-level prune of the fast path).
-        if bitset_match(col_adj, n_cols) is None:
-            stats.consistency_col_pruned += 1
-            return False
-        return bitset_embedding_exists(options, state.n_rows, n_rows)

@@ -11,10 +11,12 @@ The grid-embedding search runs over *bitsets*: per-(demo column, output
 column) match state is a tuple of row bitmasks, column assignment
 backtracking ANDs those masks incrementally (a branch dies the moment some
 demo row has no surviving output row), and the row matching at each leaf is
-Kuhn's algorithm over bitmask adjacency (:func:`bitset_match`).  The mask
-representation is also the interchange format of the incremental
-consistency checker (:mod:`repro.provenance.incremental`), which memoizes
-masks across sibling candidates instead of rebuilding them per call.
+Kuhn's algorithm over bitmask adjacency (:func:`bitset_match`).  Both
+definitions reach :func:`bitset_embedding_exists` through the column-mask
+kernel :class:`~repro.provenance.incremental.ColumnMasks`, which memoizes
+masks by column identity.  :func:`embedding_exists` builds the masks from a
+per-cell callback instead; it serves only the naive Definition-1 reference
+(:func:`repro.provenance.consistency.demo_consistent`) and test references.
 """
 
 from __future__ import annotations
@@ -165,15 +167,13 @@ def embedding_exists(n_demo_rows: int, n_demo_cols: int,
 
     Searches for injective assignments of demo columns to output columns and
     demo rows to output rows such that ``cell_ok(i, j, r, c)`` holds for every
-    demo cell ``(i, j)`` mapped to output cell ``(r, c)``.  This is the shared
-    shape of table-level consistency (Definition 1) and abstract provenance
-    consistency (Definition 3); only ``cell_ok`` differs.
+    demo cell ``(i, j)`` mapped to output cell ``(r, c)``: the naive form of
+    the consistency definitions, kept as a reference.
 
     The relation is materialized once as per-(demo column, output column)
-    row bitmasks — each cell judged at most once, no per-call memo dict —
-    and the search runs through :func:`bitset_embedding_exists`.  A column
-    pair is abandoned at the first demo row with no matching output row,
-    which is the old candidate prefilter folded into mask construction.
+    row bitmasks — each cell judged at most once — and the search runs
+    through :func:`bitset_embedding_exists`.  A column pair is abandoned at
+    the first demo row with no matching output row.
     """
     if n_demo_rows > n_rows or n_demo_cols > n_cols:
         return False

@@ -289,8 +289,9 @@ class TestAnalyzerRetention:
         assert prov.analyzer.engine is new_engine
 
 
-class TestDemoAnalysisCache:
-    """The demo-analysis memo is instance-owned and identity-safe."""
+class TestDemoMasks:
+    """The per-(demo, env) Definition-3 state is instance-owned and
+    identity-safe."""
 
     def _demo(self):
         return Demonstration.of([
@@ -309,36 +310,31 @@ class TestDemoAnalysisCache:
         q = Group(TableRef("T"), keys=(0,), agg_func=H("agg_func"),
                   agg_col=H("agg_col"))
         assert a.feasible(q, env, demo)
-        assert len(a._demo_cache) > 0
-        assert len(b._demo_cache) == 0
+        assert len(a._masks) > 0
+        assert len(b._masks) == 0
 
     def test_stale_env_identity_is_recomputed(self, env):
         """A recycled Env id must never surface another env's values.
 
-        Regression: the old guard only identity-checked the *demo*, so an
-        entry keyed by a garbage-collected env's id answered for whatever
-        new env inherited that id.  Entries now pin and identity-check
-        both objects; a poked stale entry must be ignored and recomputed.
+        A state pins and identity-checks both its demonstration and its
+        environment; a poked stale state must be ignored and replaced.
         """
-        from repro.abstraction.consistency import DemoAnalysisCache
-        cache = DemoAnalysisCache()
+        prov = ProvenanceAbstraction()
         demo = self._demo()
         other_env = Env.of(Table.from_rows("T", ["a", "b", "c"],
                                            [["x", 0, 0]] * 5))
-        poison = object()
-        cache._entries[(id(demo), id(env), True)] = \
-            (demo, other_env, poison, poison, poison)
-        refs, values, heads = cache.analysis(demo, env, True)
-        assert refs is not poison
-        assert values[0][1] == 45            # sum(10, 20, 15) under *env*
-        # The stale entry was replaced by one pinning the right env.
-        entry = cache._entries[(id(demo), id(env), True)]
-        assert entry[1] is env
+        stale = prov.masks(demo, other_env)
+        prov._masks[(id(demo), id(env))] = stale
+        state = prov.masks(demo, env)
+        assert state is not stale
+        assert state.env is env
+        # sum(10, 20, 15) under *env*
+        assert state.demo_columns[1][0][2] == 45
 
-    def test_reset_clears_demo_cache(self, env):
+    def test_reset_clears_demo_state(self, env):
         prov = ProvenanceAbstraction()
         prov.feasible(Group(TableRef("T"), keys=(0,), agg_func=H("agg_func"),
                             agg_col=H("agg_col")), env, self._demo())
-        assert len(prov._demo_cache) > 0
+        assert len(prov._masks) > 0
         prov.reset()
-        assert len(prov._demo_cache) == 0
+        assert len(prov._masks) == 0

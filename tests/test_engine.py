@@ -316,9 +316,7 @@ class TestMixedDtypeOrdering:
 
     def _assert_columnar_matches_row(self, queries, env):
         for query in queries:
-            # Fresh engines per query: ConstCmp(c, "==", True) and
-            # ConstCmp(c, "==", 1) are equal dataclasses, so a shared
-            # structural cache would answer one with the other's result.
+            # Fresh engines per query: every comparison starts cold.
             reference = RowEngine()
             expected = reference.evaluate(query, env)
             engine = ColumnarEngine()
@@ -460,6 +458,21 @@ class TestMixedDtypeOrdering:
         queries += [Partition(t, keys=(0,), agg_func=f, agg_col=1)
                     for f in ("count", "cummax", "rank", "dense_rank")]
         self._assert_columnar_matches_row(queries, env)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_bool_and_int_constants_are_distinct_cache_keys(self, backend):
+        """``True`` and ``1`` hash alike but are different constants: one
+        engine must not answer the second filter from the first's cache."""
+        env = Env.of(Table.from_rows(
+            "M", ["k", "b"], [("a", True), ("b", 1), ("c", False), ("d", 0)]))
+        engine = make_engine(backend)
+        as_true = engine.evaluate(
+            Filter(TableRef("M"), ConstCmp(1, "==", True)), env)
+        as_one = engine.evaluate(
+            Filter(TableRef("M"), ConstCmp(1, "==", 1)), env)
+        assert [row[0] for row in as_true.rows] == ["a"]
+        assert [row[0] for row in as_one.rows] == ["b"]
+        assert ConstCmp(1, "==", True) != ConstCmp(1, "==", 1)
 
     def test_float_overflow_matches_row_engine(self):
         """Python float arithmetic overflows silently to inf; the columnar

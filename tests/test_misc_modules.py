@@ -11,6 +11,7 @@ from repro.abstraction.cells import (
     HEAD_REF,
     HEAD_WINDOW,
     AbstractCell,
+    AbstractColumn,
     AbstractTable,
     head_matches,
 )
@@ -134,12 +135,25 @@ class TestAbstractCells:
     def test_table_accessors(self):
         ref = CellRef("T", 0, 0)
         cell = AbstractCell.of_ref(ref, 5)
-        table = AbstractTable(((cell, cell), (cell, cell)))
+        column = AbstractColumn((cell, cell))
+        table = AbstractTable((column, column), 2)
         assert table.n_rows == 2 and table.n_cols == 2
         assert table.column(1) == [cell, cell]
         assert table.column_known((0, 1))
         assert table.all_refs() == frozenset((ref,))
-        assert table.row_refs(0) == frozenset((ref,))
+        assert table.row(0) == (cell, cell)
+        assert AbstractTable((column,), 0).n_cols == 0
+
+    def test_cell_key_is_typed_and_includes_head(self):
+        refs = frozenset((CellRef("T", 0, 0),))
+        as_true = AbstractCell(refs, True, True, HEAD_REF)
+        as_one = AbstractCell(refs, 1, True, HEAD_REF)
+        assert as_true != as_one
+        assert as_true == AbstractCell(refs, True, True, HEAD_REF)
+        other_head = AbstractCell(refs, True, True, HEAD_AGGREGATE)
+        column = AbstractColumn((as_true, as_one, as_true, other_head))
+        assert column.distinct == ((as_true, 0b0101), (as_one, 0b0010),
+                                   (other_head, 0b1000))
 
     def test_unknown_cell(self):
         c = AbstractCell.unknown(frozenset(), HEAD_AGGREGATE)
