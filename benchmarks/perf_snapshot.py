@@ -110,7 +110,7 @@ def parallel_snapshot(rounds: int) -> dict:
 
 
 def dispatch_snapshot() -> dict:
-    """Shared-memory dispatch payload (pickled tables vs handle) and the
+    """Serving-pool dispatch payload (pickled tables vs shm handle) and the
     skewed-lane imbalance of static planning — both core-count
     independent, so these trajectory points are meaningful even on the
     noisiest shared runner.  The payload reduction is the gated bar
@@ -142,8 +142,7 @@ def serve_snapshot(pairs: int) -> dict:
     """Warm-pool request latency on repeated-schema service traffic.
 
     The ratio is the gated bar in ``test_serve_speed`` (p50 warm ≤ 0.5×
-    p50 cold); here it is recorded as a trajectory point alongside the
-    cross-worker sub-plan hit count.
+    p50 cold); here it is recorded as a trajectory point.
     """
     m = serve_bench.serve_measurements(pairs)
     return {
@@ -153,7 +152,6 @@ def serve_snapshot(pairs: int) -> dict:
         "warm_p50_ms": round(m["warm_p50_s"] * 1000, 2),
         "warm_ratio": round(m["warm_p50_s"] / m["cold_p50_s"], 3),
         "warm_ratio_bar": serve_bench.MAX_WARM_RATIO,
-        "cross_request_hits": m["cross_request_hits"],
     }
 
 

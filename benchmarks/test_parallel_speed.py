@@ -20,10 +20,10 @@ Two further measurements ride along, both core-count independent:
   deals near-equal shards, the abstraction then prunes lanes the estimate
   cannot see, and the measured ``ShardPlan.load_imbalance`` of actual
   work quantifies what dynamic re-planning (ROADMAP) would reclaim.
-* **dispatch payload** — bytes a worker dispatch ships at 2k-row scale:
-  the pickled input tables vs the shared-memory :class:`EnvHandle`
-  (``repro.engine.shm``).  This one is gated (≥5× reduction), here and
-  in the nightly perf workflow.
+* **dispatch payload** — bytes a serving-pool request dispatch ships at
+  2k-row scale: the pickled input tables vs the shared-memory
+  :class:`EnvHandle` (``repro.engine.shm``).  This one is gated (≥5×
+  reduction), here and in the nightly perf workflow.
 """
 
 from __future__ import annotations
@@ -145,11 +145,11 @@ def per_shard_visited(task, workers: int = WORKERS):
     own budget/exhaustion, so visited counts are the lanes' actual work.
     """
     config = task.config.replace(
-        workers=workers, parallel_executor="serial", shm="off",
+        workers=workers, parallel_executor="serial",
         timeout_s=None, max_visited=SKEW_BUDGET)
     skeletons = construct_skeletons(task.env, config)
     plan = ShardPlanner(workers, config.shard_strategy).plan(skeletons)
-    outcomes, _ = run_shards(plan, skeletons, task.env, task.demonstration,
+    outcomes = run_shards(plan, skeletons, task.env, task.demonstration,
                              config, "provenance", stop_spec=None)
     return plan, [o.stats.visited for o in outcomes]
 
@@ -212,12 +212,12 @@ def payload_env(task, n_rows: int) -> ast.Env:
 
 
 def dispatch_payload_bytes(task, n_rows: int = PAYLOAD_SCALE_ROWS):
-    """(pickled-table bytes, handle bytes) one worker dispatch ships.
+    """(pickled-table bytes, handle bytes) one pool dispatch ships.
 
-    Both measure the same object slot in the worker's argument tuple: the
-    input ``Env`` as the pickled tables (the pre-shm payload, and still
-    the spawn path with shm off) vs the :class:`~repro.engine.shm
-    .EnvHandle` naming the coordinator's one shared segment.
+    Both measure the same slot of a process-tier request: the input
+    ``Env`` as the pickled tables (what a spawned shard worker still
+    receives) vs the :class:`~repro.engine.shm.EnvHandle` naming the
+    pool's one shared segment.
     """
     env = payload_env(task, n_rows)
     pickled = len(pickle.dumps(env))

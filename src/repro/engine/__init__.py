@@ -28,12 +28,12 @@ fuzz harness (``tests/test_backend_fuzz.py``).
 ``make_engine(name)`` is the factory the synthesis layer uses
 (``SynthesisConfig.backend`` selects the name).
 
-:mod:`repro.engine.shm` is the shared-memory column store the
-parallel layer dispatches through: column blocks and whole environments
-are laid out in ``multiprocessing.shared_memory`` segments, workers attach
+:mod:`repro.engine.shm` is the shared-memory column store the serving
+pool's process tier dispatches through: environments are laid out in
+``multiprocessing.shared_memory`` segments, worker processes attach
 read-only via picklable handles, and engines *adopt* the decoded columns
-(``EvalEngine.adopt_env``) so leaf blocks reuse the coordinator's layout
-work instead of being rebuilt per worker.
+(``EvalEngine.adopt_env``) so leaf blocks reuse the pool's layout work
+instead of being rebuilt per worker.
 """
 
 from repro.engine.base import BACKENDS, EngineStats, EvalEngine, make_engine

@@ -69,9 +69,10 @@ class EngineStats:
     def3_col_pruned: int = 0    # Definition-3 verdicts decided by columns
     def3_mask_evals: int = 0    # (abstract column, demo) masks computed
     def3_mask_hits: int = 0     # abstract column masks served from the memo
-    shm_segments: int = 0           # shared-memory segments published
-    shm_bytes_shipped: int = 0      # payload bytes laid out in those segments
-    cross_shard_hits: int = 0   # sub-plan blocks served from a sibling shard
+    # Nothing advances these two; they always read 0 and stay only
+    # because the perf harness's traced records read them.
+    shm_bytes_shipped: int = 0
+    cross_shard_hits: int = 0
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -149,11 +150,6 @@ class EvalEngine:
         self.stats = EngineStats()
         self._consistency = None
         self._tracked_grids: BoundedCache = BoundedCache(DEFAULT_GRID_CACHE)
-        #: Optional cross-shard evaluated-sub-plan cache client
-        #: (:mod:`repro.parallel.plan_cache`); ``None`` keeps every backend
-        #: on its private caches.  Set by the parallel worker after
-        #: construction — the engine itself never creates one.
-        self.shared_plans = None
 
     @property
     def consistency(self):

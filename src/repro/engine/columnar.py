@@ -230,10 +230,11 @@ class ColumnarEngine(EvalEngine):
         ``adopted`` pairs each of ``env``'s tables with its already-decoded
         column lists (:class:`repro.engine.shm.AdoptedTable`), so the
         ``TableRef`` leaves of every candidate resolve to columns that
-        alias the coordinator's layout work instead of re-transposing
-        ``table.rows`` per worker.  Structural keys make this sound:
-        ``TableRef`` equality is by name and the decoded values are exact,
-        so a seeded block is indistinguishable from a computed one.
+        alias the serving pool's layout work instead of re-transposing
+        ``table.rows`` in every worker process.  Structural keys make
+        this sound: ``TableRef`` equality is by name and the decoded
+        values are exact, so a seeded block is indistinguishable from a
+        computed one.
         """
         if adopted is None:
             return
@@ -283,25 +284,6 @@ class ColumnarEngine(EvalEngine):
         hit = self._blocks.get(key)
         if hit is not None:
             return hit
-        shared = self.shared_plans
-        if shared is not None and shared.eligible(query):
-            fetched = shared.fetch(query, env)
-            if fetched is not None:
-                # A sibling shard already evaluated this sub-plan; rebuild
-                # the block from its published columns instead of recursing.
-                self.stats.cross_shard_hits += 1
-                columns, n_rows = fetched
-                block = kernels.ColumnBlock(columns, n_rows)
-                self._blocks[key] = block
-                return block
-            block = self._compute_block(query, env)
-            self._blocks[key] = block
-            published = shared.publish(query, env, block.columns,
-                                       block.n_rows)
-            if published:
-                self.stats.shm_segments += 1
-                self.stats.shm_bytes_shipped += published
-            return block
         block = self._compute_block(query, env)
         self._blocks[key] = block
         return block

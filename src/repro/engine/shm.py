@@ -1,16 +1,17 @@
 """Shared-memory column store (``multiprocessing.shared_memory``).
 
-The parallel layer used to pickle every input table into every worker, and
-each per-worker engine re-materialized the same columns the coordinator
-already held.  This module replaces that traffic with *handles*: the
-coordinator lays the environment's columns out in a shared-memory segment
-once, ships each worker a small picklable :class:`EnvHandle`
-``(segment name, schema, row mask)``, and workers attach read-only.
+The process-backed serving pool (:mod:`repro.serve.pool`) ships each
+request to a long-lived worker process.  Rather than pickle the input
+tables into every request blob, the pool lays an environment's columns
+out in a shared-memory segment once, ships each worker a small picklable
+:class:`EnvHandle` ``(segment name, schemas, column layout)``, and workers
+attach read-only.  Shard workers of one sharded run do not use this
+store: they receive the ``Env`` itself.
 
 Layout and codecs
 -----------------
-One published unit (an environment or a single result block) is one
-segment.  Each column is encoded by the narrowest exact codec:
+One published environment is one segment.  Each column is encoded by the
+narrowest exact codec:
 
 * ``"i8"``  — every cell a Python ``int`` fitting int64; little-endian
   64-bit buffer.
@@ -22,25 +23,21 @@ segment.  Each column is encoded by the narrowest exact codec:
   the column pickled whole.  Always correct, never zero-copy.
 
 Decoding rebuilds exact Python values, so an attached environment compares
-``==`` (and hashes equal) to the original — which is what keeps the
-replay-merge determinism guarantee intact under shm dispatch.
+``==`` (and hashes equal) to the original — which is what keeps a served
+request's results byte-identical on the process tier.
 
 Lifecycle and crash-safety
 --------------------------
-Segments are named ``{prefix}_{seq}`` under a per-run prefix, so one
-:func:`sweep_prefix` pass reclaims everything a run created no matter
-which process created it.  The creator-side :class:`ShmStore` tracks its
-segments and unlinks them on :meth:`ShmStore.close`; until then they stay
-registered with the creating process's ``resource_tracker``, which unlinks
-them at interpreter death if the run crashes before cleanup.  *Attaching*
-processes unregister from their own tracker (:func:`_untrack`) — otherwise
-every worker's tracker would unlink the segment out from under its
-siblings on worker exit (the long-standing CPython attach-side behavior).
-Worker-*published* segments (the cross-shard plan cache) are created with
-``disown=True``: ownership transfers to the coordinator, which sweeps the
-run prefix when the run ends, so a worker crash can never strand its
-siblings' cache entries mid-run.  :func:`scan_segments` is the leak probe
-the test-suite and CI leak-check assert through.
+Segments are named ``{prefix}_{seq}`` under a per-pool prefix, so one
+:func:`sweep_prefix` pass reclaims everything a pool created.  The
+creator-side :class:`ShmStore` tracks its segments and unlinks them on
+:meth:`ShmStore.close`; until then they stay registered with the creating
+process's ``resource_tracker``, which unlinks them at interpreter death if
+the pool crashes before cleanup.  *Attaching* processes unregister from
+their own tracker (:func:`_untrack`) — otherwise every worker's tracker
+would unlink the segment out from under its siblings on worker exit (the
+long-standing CPython attach-side behavior).  :func:`scan_segments` is the
+leak probe the test-suite and CI leak-check assert through.
 """
 
 from __future__ import annotations
@@ -70,9 +67,8 @@ _I8_MIN, _I8_MAX = -(2**63), 2**63 - 1
 def _untrack(shm) -> None:
     """Unregister ``shm`` from this process's resource tracker.
 
-    Used on the attach side (so a worker's exit never unlinks a segment
-    its siblings still read) and for disowned publishes (ownership moves
-    to the coordinator's end-of-run sweep).  The tracker API is
+    Used on the attach side, so a worker's exit never unlinks a segment
+    its siblings still read.  The tracker API is
     semi-private but stable across the supported interpreters; failure to
     unregister only risks an early unlink warning, never corruption.
     """
@@ -124,7 +120,6 @@ class BlockHandle:
     n_rows: int
     columns: tuple[ColumnMeta, ...]
     nbytes: int                     # total payload bytes in the segment
-    row_mask: tuple[int, ...] | None = None     # optional row selection
 
 
 @dataclass(frozen=True)
@@ -138,7 +133,7 @@ class TableHandle:
 
 @dataclass(frozen=True)
 class EnvHandle:
-    """A whole environment in one segment — the shard dispatch payload."""
+    """A whole environment in one segment — the pool's dispatch payload."""
 
     segment: str
     tables: tuple[TableHandle, ...]
@@ -227,37 +222,20 @@ class _SegmentBuilder:
 
 # --------------------------------------------------------------- shared store
 
-@dataclass
-class ShmDispatchStats:
-    """Coordinator-side telemetry of one run's shm dispatch."""
-
-    shm_segments: int = 0
-    shm_bytes_shipped: int = 0
-
-    def absorb(self, other: "ShmDispatchStats") -> None:
-        self.shm_segments += other.shm_segments
-        self.shm_bytes_shipped += other.shm_bytes_shipped
-
-
 class ShmStore:
     """Creator-side segment registry with explicit lifecycle.
 
-    ``create → publish_* → close`` (also a context manager).  ``close``
-    unlinks every segment this store created; ``disown=True`` publishes
-    transfer unlink responsibility to whoever sweeps the run prefix (the
-    coordinator) instead — the worker-publish mode.
+    ``create → publish_env → close`` (also a context manager).  ``close``
+    unlinks every segment this store created.
     """
 
-    def __init__(self, prefix: str | None = None) -> None:
-        self.prefix = prefix or \
-            f"{SEGMENT_PREFIX}_{os.getpid():x}{os.urandom(3).hex()}"
+    def __init__(self) -> None:
+        self.prefix = f"{SEGMENT_PREFIX}_{os.getpid():x}{os.urandom(3).hex()}"
         self._segments: list[shared_memory.SharedMemory] = []
         self._seq = 0
-        self.stats = ShmDispatchStats()
 
     # ------------------------------------------------------------- lifecycle
-    def _new_segment(self, nbytes: int,
-                     disown: bool) -> shared_memory.SharedMemory:
+    def _new_segment(self, nbytes: int) -> shared_memory.SharedMemory:
         while True:
             name = f"{self.prefix}_{self._seq}"
             self._seq += 1
@@ -266,33 +244,24 @@ class ShmStore:
                                                  size=max(nbytes, 1))
                 break
             except FileExistsError:
-                # A predecessor with this prefix left the name behind
-                # (a crashed worker's disowned publish not yet swept);
+                # A predecessor with this prefix left the name behind;
                 # skip it rather than fail the publish.
                 continue
-        if disown:
-            # The coordinator's end-of-run sweep owns the unlink; without
-            # this, a spawn-worker's resource tracker would unlink the
-            # segment the moment that worker exits.
-            _untrack(seg)
         self._segments.append(seg)
-        self.stats.shm_segments += 1
-        self.stats.shm_bytes_shipped += nbytes
         return seg
 
-    def close(self, unlink: bool = True) -> None:
-        """Detach (and by default unlink) every segment this store created."""
+    def close(self) -> None:
+        """Detach and unlink every segment this store created."""
         for seg in self._segments:
             try:
                 seg.close()
             except BufferError:  # pragma: no cover - exported views alive
                 continue
-            if unlink:
-                _retrack(seg)   # see _retrack: fork children untracked us
-                try:
-                    seg.unlink()
-                except FileNotFoundError:
-                    pass        # already swept (crash path) — idempotent
+            _retrack(seg)   # see _retrack: fork children untracked us
+            try:
+                seg.unlink()
+            except FileNotFoundError:
+                pass        # already swept (crash path) — idempotent
         self._segments.clear()
 
     def __enter__(self) -> "ShmStore":
@@ -302,17 +271,6 @@ class ShmStore:
         self.close()
 
     # ------------------------------------------------------------ publishing
-    def publish_block(self, columns: Sequence[Sequence], n_rows: int,
-                      row_mask: Sequence[int] | None = None,
-                      disown: bool = False) -> BlockHandle:
-        """Lay one column block out in a fresh segment."""
-        builder = _SegmentBuilder()
-        metas = tuple(builder.add_column(col) for col in columns)
-        seg = self._new_segment(builder.size, disown)
-        builder.write_into(seg.buf)
-        return BlockHandle(seg.name, n_rows, metas, builder.size,
-                           None if row_mask is None else tuple(row_mask))
-
     def publish_env(self, env: Env) -> EnvHandle:
         """Lay every input table of ``env`` out in one segment."""
         builder = _SegmentBuilder()
@@ -322,7 +280,7 @@ class ShmStore:
                        for j in range(table.n_cols)]
             metas = tuple(builder.add_column(col) for col in columns)
             staged.append((table, metas))
-        seg = self._new_segment(builder.size, disown=False)
+        seg = self._new_segment(builder.size)
         builder.write_into(seg.buf)
         tables = tuple(
             TableHandle(table.name, table.schema,
@@ -381,28 +339,12 @@ class Attachment:
 def decode_block(handle: BlockHandle, attachment: Attachment) -> list[list]:
     """Materialize a block handle's columns as exact Python value lists."""
     buf = attachment.get(handle.segment).buf
-    columns = [decode_column(meta, buf) for meta in handle.columns]
-    if handle.row_mask is not None:
-        columns = [[col[i] for i in handle.row_mask] for col in columns]
-    return columns
-
-
-def block_rows(handle: BlockHandle, attachment: Attachment) -> int:
-    return len(handle.row_mask) if handle.row_mask is not None \
-        else handle.n_rows
-
-
-def attach_table(handle: TableHandle, attachment: Attachment) -> Table:
-    columns = decode_block(handle.block, attachment)
-    n_rows = block_rows(handle.block, attachment)
-    rows = tuple(zip(*columns)) if columns else \
-        tuple(() for _ in range(n_rows))
-    return Table(handle.name, handle.schema, rows)
+    return [decode_column(meta, buf) for meta in handle.columns]
 
 
 def attach_env(handle: EnvHandle, attachment: Attachment) -> Env:
     """Rebuild the environment; ``==`` (and hash-equal) to the original."""
-    return Env(tuple(attach_table(t, attachment) for t in handle.tables))
+    return adopt_env(handle, attachment)[0]
 
 
 @dataclass
@@ -424,7 +366,7 @@ def adopt_env(handle: EnvHandle,
     tables = []
     for th in handle.tables:
         columns = decode_block(th.block, attachment)
-        n_rows = block_rows(th.block, attachment)
+        n_rows = th.block.n_rows
         rows = tuple(zip(*columns)) if columns else \
             tuple(() for _ in range(n_rows))
         tables.append(Table(th.name, th.schema, rows))
@@ -463,8 +405,8 @@ def unlink_segment(name: str) -> bool:
 def sweep_prefix(prefix: str) -> int:
     """Unlink every segment under ``prefix``; returns the count removed.
 
-    The coordinator's end-of-run (and crash-recovery) cleanup: catches
-    segments published by workers that died before handing them over, on
-    platforms where the shm filesystem is scannable.
+    The pool's end-of-life (and crash-recovery) cleanup: catches segments
+    a store never got to unlink, on platforms where the shm filesystem is
+    scannable.
     """
     return sum(1 for name in scan_segments(prefix) if unlink_segment(name))

@@ -123,18 +123,6 @@ def consistency_stats(results: Sequence[TaskResult],
             _percent(s.col_prune_rate, s.consistency_checks))
 
 
-def shm_stats(results: Sequence[TaskResult],
-              technique: str) -> tuple[int, int, int]:
-    """(segments, bytes shipped, cross-shard hits) of the shared-memory
-    dispatch and cross-shard sub-plan cache, summed over the sweep.
-
-    All-zero when runs were serial or shm was off — the report only prints
-    the line when there was traffic.
-    """
-    s = engine_totals(results, technique)
-    return s.shm_segments, s.shm_bytes_shipped, s.cross_shard_hits
-
-
 def ranking_stats(results: Sequence[TaskResult],
                   technique: str = "provenance") -> dict[str, int]:
     """Distribution of q_gt's rank among consistent queries (§5.2)."""
@@ -200,13 +188,6 @@ def observation_report(results: Sequence[TaskResult]) -> str:
         verdict, matches, pruned = consistency_stats(results, tech)
         lines.append(f"  {tech:12s} {verdict:5.1f}% / {matches:5.1f}% / "
                      f"{pruned:5.1f}%")
-    if any(r.engine.shm_segments or r.engine.cross_shard_hits
-           for r in results):
-        lines.append("shared-memory dispatch (segments / bytes shipped / "
-                     "cross-shard hits):")
-        for tech in techniques:
-            segments, shipped, hits = shm_stats(results, tech)
-            lines.append(f"  {tech:12s} {segments} / {shipped} / {hits}")
     lines.append("")
 
     if any(r.technique == "provenance" for r in results):

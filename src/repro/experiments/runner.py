@@ -34,7 +34,7 @@ TECHNIQUES = ("provenance", "value", "type")
 #: constants, key/sort limits, …) is part of the benchmark definition and
 #: never overridden by a sweep.
 EXEC_OVERRIDES = ("timeout_s", "max_visited", "backend", "workers",
-                  "shard_strategy", "parallel_executor", "shm", "strategy")
+                  "shard_strategy", "parallel_executor", "strategy")
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class RunConfig:
     backend: str | None = None      # None = each task's configured backend
     workers: int = 1                # shards searched concurrently per run
     parallel_executor: str | None = None   # None = each task's configured one
-    shm: str | None = None          # shared-memory mode; None = task default
 
     def timeout_for(self, task: BenchmarkTask) -> float:
         return (self.easy_timeout_s if task.difficulty == "easy"
@@ -82,8 +81,6 @@ def task_config(task: BenchmarkTask,
         overrides["backend"] = run_config.backend
     if run_config.parallel_executor is not None:
         overrides["parallel_executor"] = run_config.parallel_executor
-    if run_config.shm is not None:
-        overrides["shm"] = run_config.shm
     return task.config.replace(**overrides)
 
 
@@ -106,7 +103,7 @@ class TaskResult:
     demo_cells: int
     backend: str = ""           # evaluation backend that produced this run
     workers: int = 1            # parallel shards the run was searched with
-    #: Engine cache, consistency-checker and shm traffic for the run
+    #: Engine cache and consistency-checker traffic for the run
     #: (summed over workers when sharded).
     engine: EngineStats = field(default_factory=EngineStats)
 

@@ -34,18 +34,14 @@ def parallel_enumerate(env: ast.Env, demo: Demonstration,
     watch = Stopwatch()
     skeletons = construct_skeletons(env, config)
     plan = ShardPlanner(config.workers, config.shard_strategy).plan(skeletons)
-    outcomes, dispatch = run_shards(plan, skeletons, env, demo, config,
-                                    abstraction_spec, stop_spec,
-                                    executor=config.parallel_executor,
-                                    cancel_export=cancel_export)
+    outcomes = run_shards(plan, skeletons, env, demo, config,
+                          abstraction_spec, stop_spec,
+                          executor=config.parallel_executor,
+                          cancel_export=cancel_export)
     result = replay_merge(outcomes, config, has_stop=stop_spec is not None)
     result.workers = config.workers
     result.raw_stats = SearchStats.merge(*(o.stats for o in outcomes))
     result.engine_stats = EngineStats.merge(*(o.engine_stats for o in outcomes))
-    # Coordinator-side dispatch telemetry (the env layout segments) folds
-    # into the same counters the workers' publishes advanced.
-    result.engine_stats.shm_segments += dispatch.shm_segments
-    result.engine_stats.shm_bytes_shipped += dispatch.shm_bytes_shipped
     result.stats.elapsed_s = watch.elapsed()
     return result
 
@@ -78,17 +74,14 @@ def parallel_resume(lanes, env: ast.Env, demo: Demonstration,
     plan = ShardPlanner(config.workers, config.shard_strategy).plan_weighted(
         costs, [lane_id for lane_id, _ in lanes])
     payloads = [tuple(lanes[idx] for idx in shard) for shard in plan.shards]
-    outcomes, dispatch = run_payloads(payloads, env, demo, run_config,
-                                      abstraction_spec, stop_spec,
-                                      executor=run_config.parallel_executor,
-                                      seeded=True,
-                                      cancel_export=cancel_export)
+    outcomes = run_payloads(payloads, env, demo, run_config,
+                            abstraction_spec, stop_spec,
+                            executor=run_config.parallel_executor,
+                            seeded=True, cancel_export=cancel_export)
     result = replay_merge(outcomes, config, has_stop=stop_spec is not None,
                           base=base)
     result.workers = config.workers
     result.raw_stats = SearchStats.merge(*(o.stats for o in outcomes))
     result.engine_stats = EngineStats.merge(*(o.engine_stats for o in outcomes))
-    result.engine_stats.shm_segments += dispatch.shm_segments
-    result.engine_stats.shm_bytes_shipped += dispatch.shm_bytes_shipped
     result.stats.elapsed_s = watch.elapsed()
     return result

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine import shm
 from repro.engine.base import EngineStats, make_engine
 from repro.lang import ast
 from repro.provenance.demo import Demonstration
@@ -86,7 +85,7 @@ def run_shard(shard_id: int, lanes, env, demo: Demonstration,
               config: SynthesisConfig, abstraction_spec: str,
               stop_spec: StopSpec | None, cancel,
               deadline: Deadline | None = None,
-              plan_cache=None, seeded: bool = False) -> ShardOutcome:
+              seeded: bool = False) -> ShardOutcome:
     """Search ``lanes`` — ``(lane_id, skeleton)`` pairs in ascending
     canonical order — to the shard-local stopping point.
 
@@ -103,27 +102,14 @@ def run_shard(shard_id: int, lanes, env, demo: Demonstration,
     (one ``timeout_s`` for the whole run, however shards are scheduled);
     each worker starts its own when none is given.
 
-    ``env`` is the input :class:`~repro.lang.ast.Env` — or, under
-    shared-memory dispatch, an :class:`~repro.engine.shm.EnvHandle` this
-    worker attaches read-only and rebuilds an ``==``-identical ``Env``
-    from (the engine additionally adopts the decoded columns, so its leaf
-    blocks alias the coordinator's layout work).  ``plan_cache`` is this
-    shard's cross-shard sub-plan cache client
-    (:mod:`repro.parallel.plan_cache`), or ``None`` to keep the engine on
-    its private caches.
+    ``env`` is the input :class:`~repro.lang.ast.Env` (inherited under
+    fork, pickled under spawn); the worker's engine evaluates it through
+    its own block cache.
     """
     watch = Stopwatch()
     if deadline is None:
         deadline = Deadline(config.timeout_s)
     engine = make_engine(config.backend)
-    attachment = None
-    if isinstance(env, shm.EnvHandle):
-        attachment = shm.Attachment()
-        env, adopted = shm.adopt_env(env, attachment)
-        engine.adopt_env(env, adopted)
-        del adopted
-    if plan_cache is not None:
-        engine.shared_plans = plan_cache
     abstraction = build_abstraction(abstraction_spec, config)
     abstraction.bind_engine(engine)
     stop = None if stop_spec is None else stop_spec.build(engine, env)
@@ -211,8 +197,4 @@ def run_shard(shard_id: int, lanes, env, demo: Demonstration,
 
     stats.elapsed_s = watch.elapsed()
     outcome.engine_stats = engine.stats
-    if plan_cache is not None:
-        plan_cache.close()      # detach only; publishes outlive the worker
-    if attachment is not None:
-        attachment.close()
     return outcome

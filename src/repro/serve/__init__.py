@@ -5,8 +5,8 @@
 The pool is backend-pluggable (:data:`~repro.serve.pool.POOL_BACKENDS`):
 GIL-sharing worker threads, or long-lived worker processes fed
 checkpoint blobs over the shared-memory column store — the default
-whenever the pool is larger than one worker.  Both tiers share one
-sub-plan cache stack and produce byte-identical results.
+whenever the pool is larger than one worker.  Each worker keeps its
+own warm engines, and both tiers produce byte-identical results.
 
 Fault tolerance: the pool supervises its workers (restart with backoff,
 degrade to threads as a last resort) and the service replays a dead
@@ -18,8 +18,8 @@ for testing all of it lives in :mod:`repro.serve.faults`
 Layering: sits beside :mod:`repro.experiments`, above
 :mod:`repro.synthesis` — requests are
 :class:`~repro.synthesis.session.SynthesisSession` objects, and the pool
-reuses the cross-shard sub-plan cache and shm column store from
-:mod:`repro.parallel` / :mod:`repro.engine.shm`.
+ships environments through the shm column store of
+:mod:`repro.engine.shm`.
 """
 
 from repro.serve.faults import (

@@ -20,16 +20,10 @@ Both backends drive the same :class:`_SessionHost` per worker: a cache of
 warm ``(engine, abstraction)`` pairs keyed by :func:`warm_key`, the
 ``(warm key, env digest)`` pairs already served (the warm-hit metric that
 schema-affinity routing optimizes), and the sessions currently hosted.
+Each warm engine keeps its own block cache; nothing is shared between
+workers, so repeated traffic is warm on the worker that served it before.
 Because the host is shared code, a request's slices execute identically
 on either tier — the determinism pledge below.
-
-Cross-request sub-plan sharing spans both tiers through one cache stack:
-every warm engine talks to a :class:`~repro.parallel.plan_cache.
-LocalPlanCache`; on the process tier that local cache is *backed* by the
-shm-digest index (:class:`~repro.parallel.plan_cache.ProcessPlanCache`
-with env-keyed digests), so the first worker process that evaluates a
-shared sub-plan publishes its block and every sibling — and the
-coordinator's own engines — fetch it instead of re-evaluating.
 
 Why warm reuse is safe: engine caches are keyed on exact structural
 ``(query, env)`` state — and the incremental consistency checker's
@@ -47,9 +41,9 @@ the worker down, bumps its *incarnation* (stale outcomes and ops from
 the dead incarnation are dropped by tag), fails its hosted requests over
 to the caller as ``status="worker_died"`` outcomes, and restarts the
 worker with exponential backoff.  A restarted process worker gets a
-fresh job queue, a swept plan-cache shard (``drop_shard``), and cold
-warm/affinity state.  When every restart attempt fails the pool degrades
-to the thread backend with a logged warning rather than dying.  Every
+fresh job queue and cold warm/affinity state.  When every restart
+attempt fails the pool degrades to the thread backend with a logged
+warning rather than dying.  Every
 non-terminal :class:`SliceOutcome` carries the session's latest
 slice-boundary checkpoint, which is what lets the service above replay a
 request on a healthy worker with byte-identical results — crashes cost
@@ -73,7 +67,6 @@ from repro.abstraction.base import Abstraction
 from repro.engine import shm
 from repro.engine.base import EvalEngine, make_engine
 from repro.parallel.executor import pick_context
-from repro.parallel.plan_cache import LocalPlanCache, ProcessPlanCache
 from repro.serve.faults import (
     FAULT_EXITCODE,
     FaultInjector,
@@ -240,11 +233,10 @@ class _SessionHost:
     means no faults.
     """
 
-    def __init__(self, worker_id: int, plan_cache, incarnation: int = 0,
+    def __init__(self, worker_id: int, incarnation: int = 0,
                  injector: FaultInjector | None = None,
                  checkpoints: bool = True) -> None:
         self.worker_id = worker_id
-        self.plan_cache = plan_cache
         self.incarnation = incarnation
         self.injector = injector
         self.checkpoints = checkpoints
@@ -256,12 +248,11 @@ class _SessionHost:
     def engine_for(self, config: SynthesisConfig,
                    technique: str) -> tuple[EvalEngine, Abstraction]:
         """The warm engine+abstraction for this request shape (built on
-        first use, wired to the worker's sub-plan cache stack)."""
+        first use)."""
         key = warm_key(config, technique)
         pair = self._warm.get(key)
         if pair is None:
             engine = make_engine(config.backend)
-            engine.shared_plans = self.plan_cache.client(self.worker_id)
             abstraction = build_abstraction(technique, config)
             abstraction.bind_engine(engine)
             pair = (engine, abstraction)
@@ -485,14 +476,13 @@ class PoolBackend:
 class _ThreadWorker:
     """One warm thread worker: a queue, a thread, a session host."""
 
-    def __init__(self, worker_id: int, plan_cache,
+    def __init__(self, worker_id: int,
                  dispatch: Callable[[SliceOutcome], None],
                  incarnation: int = 0,
                  injector: FaultInjector | None = None,
                  checkpoints: bool = True) -> None:
-        self.host = _SessionHost(worker_id, plan_cache,
-                                 incarnation=incarnation, injector=injector,
-                                 checkpoints=checkpoints)
+        self.host = _SessionHost(worker_id, incarnation=incarnation,
+                                 injector=injector, checkpoints=checkpoints)
         self.crashed = False
         self._dispatch = dispatch
         self._jobs: queue.Queue = queue.Queue()
@@ -543,19 +533,18 @@ class ThreadBackend(PoolBackend):
 
     name = "threads"
 
-    def __init__(self, size: int, plan_cache,
+    def __init__(self, size: int,
                  dispatch: Callable[[SliceOutcome], None],
                  faults: FaultPlan | None = None,
                  checkpoints: bool = True,
                  incarnations: list[int] | None = None) -> None:
-        self._plan_cache = plan_cache
         self._dispatch = dispatch
         self._faults = faults
         self._checkpoints = checkpoints
         self._closing = False
         incarnations = incarnations or [0] * size
         self._workers = [
-            _ThreadWorker(i, plan_cache, dispatch,
+            _ThreadWorker(i, dispatch,
                           incarnation=incarnations[i],
                           injector=make_injector(faults, i, incarnations[i]),
                           checkpoints=checkpoints)
@@ -594,7 +583,7 @@ class ThreadBackend(PoolBackend):
         # and are dropped by the facade.
         old.submit(_SHUTDOWN)
         self._workers[worker_id] = _ThreadWorker(
-            worker_id, self._plan_cache, self._dispatch,
+            worker_id, self._dispatch,
             incarnation=incarnation,
             injector=make_injector(self._faults, worker_id, incarnation),
             checkpoints=self._checkpoints)
@@ -625,21 +614,18 @@ class _SlotProbe:
         return self.flags[self.slot] != 0
 
 
-def _process_worker_main(worker_id: int, jobs, results, plan_client,
-                         cancel_flags, faults: FaultPlan | None,
-                         incarnation: int, checkpoints: bool) -> None:
+def _process_worker_main(worker_id: int, jobs, results, cancel_flags,
+                         faults: FaultPlan | None, incarnation: int,
+                         checkpoints: bool) -> None:
     """Body of one long-lived worker process.
 
     Environments are memoized per shm segment — attached and decoded
     once, then shared by every hosted session that ships the same
-    handle — and the plan cache is the two-tier stack: a local dict in
-    front of the pool-wide shm-digest index.  An :class:`InjectedCrash`
-    ends the process via ``os._exit`` — no cleanup, no unwinding —
-    because that is what a real worker death looks like to the
-    supervisor.
+    handle.  An :class:`InjectedCrash` ends the process via ``os._exit``
+    — no cleanup, no unwinding — because that is what a real worker
+    death looks like to the supervisor.
     """
-    plan_cache = LocalPlanCache(backing=plan_client)
-    host = _SessionHost(worker_id, plan_cache, incarnation=incarnation,
+    host = _SessionHost(worker_id, incarnation=incarnation,
                         injector=make_injector(faults, worker_id,
                                                incarnation),
                         checkpoints=checkpoints)
@@ -687,7 +673,6 @@ def _process_worker_main(worker_id: int, jobs, results, plan_client,
                                   lambda: open_session(request_id, payload)))
     except InjectedCrash:
         os._exit(FAULT_EXITCODE)
-    plan_cache.close()
     attachment.close()
 
 
@@ -702,8 +687,8 @@ class ProcessBackend(PoolBackend):
     processes (daemons cannot have children).
 
     Restart support: each worker carries an incarnation; replacing one
-    terminates the process if needed, sweeps its plan-cache shard, swaps
-    in a fresh job queue, and spawns the next incarnation.  An env
+    terminates the process if needed, swaps in a fresh job queue, and
+    spawns the next incarnation.  An env
     publish that raises ``OSError`` (or is injected to) degrades that
     request to pickled-env dispatch instead of failing it.
     """
@@ -721,13 +706,10 @@ class ProcessBackend(PoolBackend):
         self._recovery = recovery if recovery is not None \
             else RecoveryTelemetry()
         self._ctx = pick_context(start_method=start_method)
-        # Env segments and worker plan publishes both nest under the
-        # store's prefix: one end-of-life sweep reclaims everything
-        # however a publisher exited.
+        # Env segments nest under the store's prefix: one end-of-life
+        # sweep reclaims everything the store could not unlink.
         self._store = shm.ShmStore()
         self.prefix = self._store.prefix
-        self._plan_tier = ProcessPlanCache(self._ctx, self.prefix,
-                                           env_keyed=True)
         self._cancel_flags = self._ctx.Array("b", _CANCEL_SLOTS, lock=False)
         self._results = self._ctx.SimpleQueue()
         self._jobs = [self._ctx.SimpleQueue() for _ in range(size)]
@@ -751,16 +733,11 @@ class ProcessBackend(PoolBackend):
         proc = self._ctx.Process(
             target=_process_worker_main,
             args=(worker_id, self._jobs[worker_id], self._results,
-                  self._plan_tier.client(worker_id), self._cancel_flags,
-                  self._faults, incarnation, self._checkpoints),
+                  self._cancel_flags, self._faults, incarnation,
+                  self._checkpoints),
             name=f"repro-serve-proc-{worker_id}", daemon=False)
         proc.start()
         self._procs[worker_id] = proc
-
-    def plan_client(self):
-        """A coordinator-side client of the pool's shm-digest index (the
-        backing tier for the facade's ``plan_cache``)."""
-        return self._plan_tier.client(len(self._procs))
 
     def open(self, worker_id, request_id, session, slice_pops, deadline,
              env_key) -> None:
@@ -831,10 +808,6 @@ class ProcessBackend(PoolBackend):
             if proc.is_alive():     # pragma: no cover - defensive
                 proc.kill()
                 proc.join(timeout=2.0)
-        # The dead incarnation's disowned plan publishes and stale index
-        # entries: swept now, so the next incarnation (same shard
-        # prefix) starts clean and nothing leaks if the pool dies later.
-        self._plan_tier.drop_shard(worker_id)
         self._spawn_check(worker_id, incarnation)
         with self._lock:
             self._jobs[worker_id] = self._ctx.SimpleQueue()
@@ -913,9 +886,8 @@ class ProcessBackend(PoolBackend):
                     proc.join(timeout=1.0)
         self._results.put(None)
         self._reader.join(timeout=2.0)
-        self._plan_tier.close()
         self._store.close()
-        shm.sweep_prefix(self.prefix)       # workers' disowned publishes
+        shm.sweep_prefix(self.prefix)
         return stuck
 
     def destroy(self) -> None:
@@ -933,10 +905,6 @@ class ProcessBackend(PoolBackend):
         try:
             self._results.put(None)
             self._reader.join(timeout=1.0)
-        except Exception:                   # pragma: no cover - teardown
-            pass
-        try:
-            self._plan_tier.close()
         except Exception:                   # pragma: no cover - teardown
             pass
         try:
@@ -972,7 +940,6 @@ class WorkerPool:
     """
 
     def __init__(self, size: int = 2, backend: str | None = None,
-                 plan_cache: LocalPlanCache | None = None,
                  start_method: str | None = None,
                  faults: FaultPlan | None = None,
                  slice_timeout_s: float | None = None,
@@ -1002,21 +969,13 @@ class WorkerPool:
         self._restart_listeners: list[Callable[[int | None], None]] = []
         self.recovery = RecoveryTelemetry()
         if self.backend_name == "threads":
-            self.plan_cache = plan_cache if plan_cache is not None \
-                else LocalPlanCache()
             self._backend: PoolBackend = ThreadBackend(
-                size, self.plan_cache, self._on_outcome, faults=self.faults,
+                size, self._on_outcome, faults=self.faults,
                 checkpoints=checkpoints)
         else:
-            process_backend = ProcessBackend(
+            self._backend = ProcessBackend(
                 size, self._on_outcome, start_method, faults=self.faults,
                 checkpoints=checkpoints, recovery=self.recovery)
-            self._backend = process_backend
-            # The coordinator-side cache rides on the same shm index the
-            # workers publish to — thread-tier callers of pool.plan_cache
-            # and the process workers hit one shared tier.
-            self.plan_cache = plan_cache if plan_cache is not None \
-                else LocalPlanCache(backing=process_backend.plan_client())
         self._stop_supervisor = threading.Event()
         self._supervisor: threading.Thread | None = None
         if supervise_interval_s is not None and supervise_interval_s > 0:
@@ -1248,9 +1207,8 @@ class WorkerPool:
             old_backend = self._backend
             # Chaos plans target the tier they were configured for; the
             # degraded tier must be stable, so it runs fault-free.
-            self.plan_cache = LocalPlanCache()
             self._backend = ThreadBackend(
-                self._size, self.plan_cache, self._on_outcome, faults=None,
+                self._size, self._on_outcome, faults=None,
                 checkpoints=self._checkpoints, incarnations=incarnations)
             self.backend_name = "threads"
             self._degraded = True
@@ -1345,7 +1303,7 @@ class WorkerPool:
         a worker still running past that is terminated (threads: left as
         daemons) and reported in a ``RuntimeError`` — shutdown never
         hangs, and a stuck worker is loud instead of silent.  Idempotent;
-        backend resources (shm segments, manager process) are reclaimed
+        backend resources (shm segments) are reclaimed
         before the error is raised.
         """
         with self._lock:

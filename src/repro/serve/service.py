@@ -16,8 +16,7 @@ asks again.  :class:`SynthesisService` makes that loop first-class:
 * placement is *schema-affine*: requests route by ``(warm key, env
   digest)`` to the worker that already served that shape on those tables
   (hot engine caches), falling back to the least-loaded worker for new
-  shapes; ``routing="round_robin"`` restores blind rotation for
-  comparison;
+  shapes;
 * a request whose config asks for ``workers > 1`` fans out: when the
   pool has idle capacity its next turn runs the session to completion,
   re-dispatching remaining lanes onto shard workers at the round
@@ -70,11 +69,11 @@ outcomes and talk back only through ``loop.call_soon_threadsafe``.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.lang import ast
-from repro.parallel.plan_cache import env_digest
 from repro.provenance.demo import Demonstration
 from repro.serve.faults import FaultPlan
 from repro.serve.pool import (
@@ -106,12 +105,21 @@ FAILED = "failed"
 #: Once here, a request never leaves (the _fail/_finalize guard).
 TERMINAL_STATES = frozenset({DONE, CANCELLED, TIMED_OUT, FAILED})
 
-ROUTING_MODES = ("affinity", "round_robin")
-
 #: Bound on the routing/env-digest memos — they key on request shapes,
 #: which are few in steady state; a pathological shape churn resets the
 #: maps rather than growing them without bound.
 _ROUTE_MEMO_LIMIT = 4096
+
+
+def env_digest(env: ast.Env) -> str:
+    """Stable content digest of an environment's tables.
+
+    Two ``Env`` objects with equal tables digest identically whatever
+    process built them, so affinity routing and the pool's warm-hit
+    accounting key requests by their data, not by object identity.
+    ``repr`` covers names, schemas and every cell exactly.
+    """
+    return hashlib.blake2b(repr(env).encode(), digest_size=16).hexdigest()
 
 
 class ServiceOverloaded(RuntimeError):
@@ -136,7 +144,6 @@ class ServiceConfig:
     slice_pops: int = 500       # preemption granularity, pops per slice
     default_timeout_s: float | None = None   # per-request budget fallback
     pool_backend: str | None = None  # threads|processes|None ("auto")
-    routing: str = "affinity"   # schema-affine placement | "round_robin"
     max_retries: int = 2        # checkpoint replays per request
     slice_timeout_s: float | None = None  # hang detection (off by default)
     supervise_interval_s: float | None = SUPERVISE_INTERVAL_S
@@ -149,9 +156,6 @@ class ServiceConfig:
             raise ValueError("max_requests must be >= 1")
         if self.slice_pops < 1:
             raise ValueError("slice_pops must be >= 1")
-        if self.routing not in ROUTING_MODES:
-            raise ValueError(f"routing must be one of {ROUTING_MODES}, "
-                             f"got {self.routing!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.slice_timeout_s is not None and self.slice_timeout_s <= 0:
@@ -258,7 +262,6 @@ class SynthesisService:
         self._own_pool = pool is None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._live: set[_Request] = set()
-        self._next_worker = 0
         self._affinity: dict[tuple, int] = {}   # (warm key, env key) -> wid
         self._env_keys: dict = {}               # env -> digest memo
         self._closed = False
@@ -369,13 +372,8 @@ class SynthesisService:
 
     def _route(self, key: tuple, env_key: str) -> int:
         """Pick a worker: sticky by request shape, least-loaded on first
-        sight (ties to the lowest id, so light load behaves like the old
-        round-robin no worse).  Workers currently down — mid-restart —
-        are avoided for new placements."""
-        if self.config.routing == "round_robin":
-            worker = self._next_worker % self.pool.size
-            self._next_worker += 1
-            return worker
+        sight (ties to the lowest id).  Workers currently down —
+        mid-restart — are avoided for new placements."""
         route = (key, env_key)
         down = self.pool.down_workers()
         worker = self._affinity.get(route)

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from repro.lang.functions import (
     AGGREGATE_FUNCTIONS,
     ANALYTIC_FUNCTIONS,
+    ANALYTIC_SPECS,
     ARITHMETIC_FUNCTIONS,
 )
+from repro.lang.predicates import COMPARISON_OPS
 from repro.table.values import Value
 
 #: Operators the skeleton enumerator may compose (joins are added
@@ -61,18 +63,6 @@ class SynthesisConfig:
     # platforms without fork), or "serial" (run shards one after another
     # in-process — the reference semantics the other two must match).
     parallel_executor: str = "process"
-    # Shared-memory dispatch and cross-shard sub-plan caching
-    # (repro.engine.shm / repro.parallel.plan_cache):
-    #   "auto" — enabled for the process executor (where tables would
-    #            otherwise pickle into every worker), off for thread/serial
-    #   "on"   — force-enable (thread/serial get the in-process sub-plan
-    #            cache; process additionally ships env handles over shm)
-    #   "off"  — force-disable
-    # The REPRO_SHM environment variable, when set, overrides this knob.
-    # Results are identical either way — shm trades dispatch bytes and
-    # redundant evaluation, never search behavior.
-    shm: str = "auto"
-
     # Worklist strategy.  "sized_dfs" (default) explores skeleton sizes
     # smallest-first and completes hole instantiation depth-first within a
     # size class — small consistent queries are still found first (the
@@ -113,6 +103,21 @@ class SynthesisConfig:
             raise ValueError("max_operators must be >= 1")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
+        for name in ("max_visited", "timeout_s"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0 or None")
+        if self.max_key_cols < 0:
+            raise ValueError("max_key_cols must be >= 0")
+        if self.max_sort_cols < 0:
+            raise ValueError("max_sort_cols must be >= 0")
+        for name, known in (("aggregate_functions", AGGREGATE_FUNCTIONS),
+                            ("analytic_functions", tuple(ANALYTIC_SPECS)),
+                            ("arithmetic_functions", ARITHMETIC_FUNCTIONS),
+                            ("comparison_ops", COMPARISON_OPS)):
+            unknown = set(getattr(self, name)) - set(known)
+            if unknown:
+                raise ValueError(f"unknown {name}: {sorted(unknown)}")
         if self.strategy not in ("sized_dfs", "bfs", "dfs"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         from repro.engine.base import BACKENDS
@@ -126,8 +131,6 @@ class SynthesisConfig:
         if self.parallel_executor not in ("process", "thread", "serial"):
             raise ValueError(
                 f"unknown parallel_executor {self.parallel_executor!r}")
-        if self.shm not in ("auto", "on", "off"):
-            raise ValueError(f"unknown shm mode {self.shm!r}")
         if self.workers > 1 and self.strategy != "sized_dfs":
             # Sharded search relies on the lane-per-cycle structure of the
             # sized_dfs worklist; the FIFO strategies share one global queue

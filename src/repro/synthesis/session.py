@@ -73,7 +73,7 @@ from repro.util.timer import Deadline, Stopwatch
 
 #: Checkpoint format version; bumped whenever the pickled state layout
 #: changes so a stale blob fails loudly instead of resuming garbage.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Session lifecycle phases.
 NEW = "new"          # constructed; lanes not seeded yet
@@ -479,7 +479,7 @@ class SynthesisSession:
         The resumed session owns no engine yet — the next ``step`` builds
         a fresh one, or a pool worker attaches a warm one.  ``env``
         re-attaches the environment of an env-stripped blob (and must
-        compare equal to the original; engine and plan-cache keys are
+        compare equal to the original; engine cache keys are
         equality-based, so an equal environment preserves byte-identical
         results).
         """

@@ -1,10 +1,13 @@
-"""Demonstrations are checked against their tables at the API boundary.
+"""Demonstrations and configs are checked at the API boundary.
 
 A cell reference outside the input tables must fail with a typed
 :class:`~repro.errors.ExpressionError` before any search starts — through
 ``synthesize``, ``SynthesisSession`` and ``SynthesisService.submit`` alike
 — never as an ``IndexError`` from inside evaluation, and never by Python's
-negative indexing silently reading the last row.
+negative indexing silently reading the last row.  Likewise a
+``SynthesisConfig`` naming an unknown function or operator, or carrying a
+negative budget or cap, fails at construction rather than mid-search or
+silently.
 """
 
 import asyncio
@@ -75,3 +78,25 @@ def test_service_rejects_before_admission(bad):
             await live.result()
 
     asyncio.run(main())
+
+
+BAD_CONFIGS = {
+    "unknown-analytic": dict(analytic_functions=("nope",)),
+    "unknown-aggregate": dict(aggregate_functions=("nope",)),
+    "unknown-arithmetic": dict(arithmetic_functions=("nope",)),
+    "unknown-comparison": dict(comparison_ops=("~",)),
+    "negative-max-visited": dict(max_visited=-5),
+    "negative-timeout": dict(timeout_s=-1.0),
+    "negative-key-cols": dict(max_key_cols=-1),
+    "negative-sort-cols": dict(max_sort_cols=-1),
+}
+
+
+@pytest.mark.parametrize("overrides", BAD_CONFIGS.values(),
+                         ids=BAD_CONFIGS.keys())
+def test_config_rejects_bad_values(overrides):
+    field = next(iter(overrides))
+    with pytest.raises(ValueError, match=field):
+        SynthesisConfig(**overrides)
+    with pytest.raises(ValueError, match=field):
+        SynthesisConfig().replace(**overrides)

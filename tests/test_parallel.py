@@ -2,8 +2,8 @@
 
 Covers the mergeable stats (`SearchStats.merge` / `EngineStats.merge`), the
 shard planner (coverage, balance, determinism under permuted input), the
-declarative stop specs, the parallel knob validation (including the shm
-mode), and the dead-worker re-dispatch path of the process executor.
+declarative stop specs, the parallel knob validation, and the dead-worker
+re-dispatch path of the process executor.
 """
 
 import os
@@ -14,7 +14,7 @@ import pytest
 
 from repro.benchmarks import get_task
 from repro.engine import EngineStats, make_engine, shm
-from repro.parallel import ShardPlanner, estimated_lane_cost, resolve_shm
+from repro.parallel import ShardPlanner, estimated_lane_cost
 from repro.synthesis import (
     CallableStop,
     GroundTruthStop,
@@ -176,27 +176,6 @@ class TestParallelConfig:
     def test_rejects_parallel_fifo_strategies(self):
         with pytest.raises(ValueError):
             SynthesisConfig(workers=2, strategy="bfs")
-
-    def test_rejects_unknown_shm_mode(self):
-        with pytest.raises(ValueError):
-            SynthesisConfig(shm="maybe")
-
-    def test_resolve_shm_modes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        auto = SynthesisConfig(shm="auto")
-        assert resolve_shm(auto, "process") is True
-        assert resolve_shm(auto, "thread") is False
-        assert resolve_shm(auto, "serial") is False
-        assert resolve_shm(SynthesisConfig(shm="on"), "thread") is True
-        assert resolve_shm(SynthesisConfig(shm="off"), "process") is False
-
-    def test_resolve_shm_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "off")
-        assert resolve_shm(SynthesisConfig(shm="on"), "process") is False
-        monkeypatch.setenv("REPRO_SHM", "on")
-        assert resolve_shm(SynthesisConfig(shm="off"), "serial") is True
-        monkeypatch.setenv("REPRO_SHM", "auto")
-        assert resolve_shm(SynthesisConfig(shm="off"), "process") is True
 
     def test_sharded_run_requires_named_abstraction(self):
         task = get_task("fe01_total_sales_per_region")

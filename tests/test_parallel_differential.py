@@ -10,11 +10,11 @@ Searches run under a visited-query budget (no wall clock) so serial and
 sharded runs traverse identical search prefixes regardless of machine
 speed — the same discipline the engine differential suite uses.
 
-Shared-memory dispatch (``repro.engine.shm``) is part of the pledge: the
-process legs here run with it by default (``shm="auto"``), explicit
-``shm="on"``/``"off"`` legs pin both paths, a fork-vs-spawn leg proves the
-handles survive a cold process boundary, and a session fixture fails the
-suite if any run leaked a ``/dev/shm`` segment.
+Process workers receive the input ``Env`` itself — inherited under fork,
+pickled under spawn — and a fork-vs-spawn leg proves both paths land on
+the same result.  A session fixture fails the suite if any run leaked a
+``/dev/shm`` segment (sharded runs create none; the serving pool is the
+only publisher).
 """
 
 import multiprocessing
@@ -72,13 +72,10 @@ DETERMINISTIC_FIELDS = ("visited", "pruned", "expanded", "concrete_checked",
 
 
 def _run(task, workers, executor="thread", stop=None, budget=VISITED_BUDGET,
-         strategy="cost_rr", shm_mode=None):
-    overrides = dict(
+         strategy="cost_rr"):
+    config = task.config.replace(
         workers=workers, parallel_executor=executor,
         shard_strategy=strategy, timeout_s=None, max_visited=budget)
-    if shm_mode is not None:
-        overrides["shm"] = shm_mode
-    config = task.config.replace(**overrides)
     synthesizer = Synthesizer("provenance", config)
     return synthesizer.run(task.tables, task.demonstration,
                            stop_predicate=stop)
@@ -165,41 +162,19 @@ def test_sharded_respects_visited_budget():
 
 @pytest.mark.parametrize("task", PROCESS_TASKS[:3],
                          ids=[t.name for t in PROCESS_TASKS[:3]])
-def test_shm_on_identical_across_executors(task, monkeypatch):
-    """``shm="on"`` forces handle dispatch (process) and the in-process
-    sub-plan cache (thread/serial); none may perturb any result, at
-    either worker count of the acceptance matrix."""
-    monkeypatch.delenv("REPRO_SHM", raising=False)
+def test_identical_across_executors(task):
+    """Every executor at either worker count of the acceptance matrix
+    reproduces the serial result."""
     serial = _run(task, workers=1)
     for executor in ("serial", "thread", "process"):
         for workers in (2, 4):
             _assert_identical(serial, _run(task, workers=workers,
-                                           executor=executor, shm_mode="on"))
-
-
-def test_shm_off_pickled_dispatch_still_identical(monkeypatch):
-    """The pre-shm pickled-table path remains a correct fallback."""
-    monkeypatch.delenv("REPRO_SHM", raising=False)
-    task = PROCESS_TASKS[0]
-    serial = _run(task, workers=1)
-    off = _run(task, workers=4, executor="process", shm_mode="off")
-    _assert_identical(serial, off)
-    assert off.engine_stats.shm_segments == 0
-    assert off.engine_stats.shm_bytes_shipped == 0
-
-
-def test_shm_telemetry_counts_dispatch_traffic(monkeypatch):
-    monkeypatch.delenv("REPRO_SHM", raising=False)
-    task = PROCESS_TASKS[0]
-    sharded = _run(task, workers=4, executor="process", shm_mode="on")
-    # At least the coordinator's env segment was laid out and shipped.
-    assert sharded.engine_stats.shm_segments >= 1
-    assert sharded.engine_stats.shm_bytes_shipped > 0
+                                           executor=executor))
 
 
 def test_fork_vs_spawn_parity(monkeypatch):
-    """The same shm-dispatched run is byte-identical under both start
-    methods: fork (handles inherited) and spawn (handles pickled into a
+    """The same sharded run is byte-identical under both start methods:
+    fork (the ``Env`` inherited) and spawn (the ``Env`` pickled into a
     cold interpreter)."""
     task = PROCESS_TASKS[0]
     serial = _run(task, workers=1)
@@ -208,5 +183,4 @@ def test_fork_vs_spawn_parity(monkeypatch):
         if method not in available:
             continue
         monkeypatch.setenv("REPRO_START_METHOD", method)
-        _assert_identical(serial, _run(task, workers=2, executor="process",
-                                       shm_mode="on"))
+        _assert_identical(serial, _run(task, workers=2, executor="process"))

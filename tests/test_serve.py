@@ -198,10 +198,9 @@ def test_cancel_mid_flight_returns_partial_result(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_warm_worker_reuses_engine_and_shares_plans(backend):
-    """The pool's two latency tiers: same worker + same request shape
-    reuses the warm engine outright; a *different* worker's fresh engine
-    still gets cross-request sub-plan hits from the shared cache tier
-    (pool-wide dict on threads, shm-digest index across processes)."""
+    """Same worker + same request shape reuses the warm engine outright,
+    with its block cache of evaluated sub-plans; a *different* worker
+    builds its own engine.  All three requests return the same result."""
     async def main():
         pool = WorkerPool(2, backend=backend)
         async with SynthesisService(pool=pool) as svc:
@@ -209,7 +208,6 @@ def test_warm_worker_reuses_engine_and_shares_plans(backend):
             cold = svc.submit(SHARED.tables, SHARED.demonstration, config,
                               worker=0)
             first = await cold.result()
-            assert first.engine_stats.cross_shard_hits == 0
 
             # Same worker, same shape: engine served warm from the cache.
             warm = svc.submit(SHARED.tables, SHARED.demonstration, config,
@@ -217,13 +215,11 @@ def test_warm_worker_reuses_engine_and_shares_plans(backend):
             second = await warm.result()
             _assert_identical(first, second)
 
-            # Other worker, fresh engine: the shared sub-plan tier serves
-            # blocks the first request published.
+            # Other worker: a fresh engine of its own, same result.
             other = svc.submit(SHARED.tables, SHARED.demonstration, config,
                                worker=1)
             third = await other.result()
             _assert_identical(first, third)
-            assert third.engine_stats.cross_shard_hits >= 1
 
             telemetry = pool.telemetry()
             assert telemetry["backend"] == backend
@@ -241,12 +237,10 @@ def test_warm_worker_reuses_engine_and_shares_plans(backend):
 
 
 def test_affinity_routing_raises_warm_hit_rate():
-    """Schema-affinity placement vs blind rotation on a repeated-schema
-    mix cycling through a two-worker pool.  Affinity pins each request
-    shape to one worker — exactly one cold serve per distinct
-    ``(warm key, env digest)``; round-robin scatters every shape across
-    both workers — the measurable win the routing exists for."""
-    from repro.parallel.plan_cache import env_digest
+    """Schema-affinity placement on a repeated-schema mix cycling through
+    a two-worker pool pins each request shape to one worker: exactly one
+    cold serve per distinct ``(warm key, env digest)``."""
+    from repro.serve.service import env_digest
 
     mix = [EASY, HARD, SHARED]
     distinct = len({
@@ -254,9 +248,9 @@ def test_affinity_routing_raises_warm_hit_rate():
          env_digest(SynthesisSession(task.tables, task.demonstration).env))
         for task in mix})
 
-    async def run_mix(routing):
+    async def run_mix():
         svc_cfg = ServiceConfig(pool_size=2, slice_pops=100,
-                                pool_backend="threads", routing=routing)
+                                pool_backend="threads")
         async with SynthesisService(svc_cfg) as svc:
             for _ in range(3):
                 for task in mix:
@@ -268,15 +262,10 @@ def test_affinity_routing_raises_warm_hit_rate():
         return telemetry["warm_hits"], telemetry["warm_misses"]
 
     async def main():
-        affinity_hits, affinity_misses = await run_mix("affinity")
-        rr_hits, rr_misses = await run_mix("round_robin")
+        affinity_hits, affinity_misses = await run_mix()
         assert affinity_hits + affinity_misses == 9
-        assert rr_hits + rr_misses == 9
-        # Perfect stickiness: one cold serve per distinct shape...
+        # Perfect stickiness: one cold serve per distinct shape.
         assert affinity_misses == distinct
-        # ...while rotation re-serves every shape cold on both workers.
-        assert rr_misses == 2 * distinct
-        assert affinity_hits > rr_hits
 
     asyncio.run(main())
 
@@ -302,8 +291,6 @@ def test_resolve_pool_backend(monkeypatch):
     assert resolve_pool_backend("processes", 4) == "processes"
     with pytest.raises(ValueError, match="unknown pool backend"):
         resolve_pool_backend("fibers", 2)
-    with pytest.raises(ValueError, match="routing"):
-        ServiceConfig(routing="random")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
